@@ -4,9 +4,7 @@
 Measures three things:
 
 * **simulated instructions per second** for each fetch engine (gzip,
-  optimized layout, 8-wide) in both engine modes — ``accel`` (the
-  exec-compiled kernels of :mod:`repro.accel`) and ``interp`` (the
-  interpreted paths); results are bit-identical, only speed differs;
+  optimized layout, 8-wide);
 * **matrix wall-clock** for the default ``run_matrix`` perf workload
   (gzip + twolf, both layouts, all four engines, 100k instructions),
   serial and — when this host has more than one CPU — parallel, plus
@@ -22,8 +20,7 @@ Measures three things:
   simulation (schema 5);
 * **observability overhead** (schema 6): the per-cell cost of the
   disabled-mode ``repro.obs`` hook, stated as a fraction of the
-  fastest quick cell in both engine modes, plus an on/off
-  bit-identity check;
+  fastest quick cell, plus an on/off bit-identity check;
 * **cluster dispatch overhead** (schema 7): a small matrix through
   :mod:`repro.cluster` against two in-process daemons, cold
   (simulated remotely) and warm (store-hit round trips), next to the
@@ -33,23 +30,21 @@ Measures three things:
 
 The full run writes ``BENCH_perf.json`` at the repo root; that file is
 committed and becomes the baseline every future PR is measured against.
-``SEED_BASELINE`` pins the pre-optimization (seed) numbers and
-``PR3_BASELINE`` the PR 3 (pre-accelerator) numbers measured on the
-reference container, so the report states both the cumulative speedup
-and the accelerator's contribution.  Reported speedups are normalized
-by the calibration workload's drift, comparing code against code
-rather than one machine epoch against another.
+``SEED_BASELINE`` pins the pre-optimization (seed) numbers, and
+``PR3_BASELINE`` / ``PR4_BASELINE`` two later trees measured on the
+reference container, so the report states the cumulative speedup.
+Reported speedups are normalized by the calibration workload's drift,
+comparing code against code rather than one machine epoch against
+another.
 
 ``--quick`` is the CI smoke mode: a few seconds of engine-only
-measurement **in both engine modes**, compared against the committed
-baseline's ``quick_engines`` (accel) and ``quick_engines_interp``
-sections, plus the per-engine accel/interp ratio and the default-matrix
-**chain hit rate** gated against the committed ``chain.floor`` (schema
-4).  A regression of more than ``REGRESSION_TOLERANCE`` (30%) on any
-engine in either mode — or a chain hit rate below the floor, or an
-observability hook costing more than ``OBS_OVERHEAD_LIMIT`` (2%) of
-the fastest cell, or results diverging with recording on vs off —
-fails loudly (exit code 1).
+measurement compared against the committed baseline's
+``quick_engines`` section, plus the default-matrix **chain hit rate**
+gated against the committed ``chain.floor`` (schema 4).  A regression
+of more than ``REGRESSION_TOLERANCE`` (30%) on any engine — or a chain
+hit rate below the floor, or an observability hook costing more than
+``OBS_OVERHEAD_LIMIT`` (2%) of the fastest cell, or results diverging
+with recording on vs off — fails loudly (exit code 1).
 
 ``--store DIR`` measurements never feed the regression gate, and the
 ``--quick`` gate never touches a store — the gate always measures cold
@@ -135,9 +130,7 @@ SEED_BASELINE = {
     "calibration_seconds": 0.0889,
 }
 
-#: The PR 3 tree (persistent store, pre-accelerator) on the reference
-#: container — the baseline the accelerator's ">= 1.5x engine
-#: throughput" target is measured against.
+#: The PR 3 tree (persistent store) on the reference container.
 PR3_BASELINE = {
     "engine_ips": {
         "ev8": 347_527,
@@ -148,9 +141,9 @@ PR3_BASELINE = {
     "calibration_seconds": 0.07972,
 }
 
-#: The PR 4 tree (exec-compiled kernels, pre-chaining) on the reference
+#: The PR 4 tree (generated kernels, pre-chaining) on the reference
 #: container — the baseline the chained-template scheme's ">= 1.15x
-#: per-engine throughput" target is measured against.
+#: per-engine throughput" target was measured against.
 PR4_BASELINE = {
     "engine_ips": {
         "ev8": 465_204,
@@ -196,13 +189,12 @@ def measure_calibration(reps: int = 3) -> float:
 
 
 def _measure_one_engine(program, arch: str, instructions: int,
-                        reps: int, engine_mode: str = "accel") -> dict:
+                        reps: int) -> dict:
     def run_once():
         processor = build_processor(
             arch, program, 8,
             benchmark=ENGINE_BENCHMARK, optimized=True,
             trace_seed=ref_trace_seed(ENGINE_BENCHMARK),
-            engine_mode=engine_mode,
         )
         processor.run(instructions)
     seconds = _best_of(reps, run_once)
@@ -214,8 +206,8 @@ def _measure_one_engine(program, arch: str, instructions: int,
 
 
 #: The one engine-measurement program image, linked lazily and shared
-#: by the warm pass and every engine measurement (full and quick, both
-#: modes).  Sharing one image matters beyond link time: the schedule-
+#: by the warm pass and every engine measurement (full and quick).
+#: Sharing one image matters beyond link time: the schedule-
 #: template store is keyed weakly by Program identity, so only
 #: measurements over the *same* image ride the same warm templates.
 _ENGINE_PROGRAM = None
@@ -229,13 +221,11 @@ def _engine_program():
     return _ENGINE_PROGRAM
 
 
-def measure_engine_ips(instructions: int, reps: int = 2,
-                       engine_mode: str = "accel") -> dict:
+def measure_engine_ips(instructions: int, reps: int = 2) -> dict:
     """Simulated-instructions-per-second per engine (gzip, opt, 8-wide)."""
     program = _engine_program()
     return {
-        arch: _measure_one_engine(program, arch, instructions, reps,
-                                  engine_mode=engine_mode)
+        arch: _measure_one_engine(program, arch, instructions, reps)
         for arch in ARCHITECTURES
     }
 
@@ -246,8 +236,8 @@ def warm_shared_caches(instructions: int) -> None:
     Schedule templates, DOLC hash memos and trace records are shared
     across processors (they memoize pure functions), so whichever
     measurement runs *first* would otherwise pay their construction
-    while later ones ride warm — skewing any accel-vs-interp
-    comparison.  One explicit warm pass puts every subsequent
+    while later ones ride warm — skewing any comparison between
+    engines.  One explicit warm pass puts every subsequent
     measurement on the same fully-warm footing, which is also the
     steady state a real sweep runs in.
     """
@@ -257,7 +247,6 @@ def warm_shared_caches(instructions: int) -> None:
             arch, program, 8,
             benchmark=ENGINE_BENCHMARK, optimized=True,
             trace_seed=ref_trace_seed(ENGINE_BENCHMARK),
-            engine_mode="accel",
         )
         processor.run(instructions)
 
@@ -367,7 +356,7 @@ def measure_matrix(jobs: int, reps: int = 3) -> dict:
 def measure_chain_rates() -> dict:
     """Steady-state chain hit rates over the default perf matrix.
 
-    Two serial, storeless, accel-mode passes over the default matrix:
+    Two serial, storeless passes over the default matrix:
     the first trains the shared per-image template stores and their
     transition tables (the equivalent of the first fraction of a long
     run), the second — measured from the per-cell ``result.extras``
@@ -384,7 +373,6 @@ def measure_chain_rates() -> dict:
     kwargs = dict(
         benchmarks=MATRIX_BENCHMARKS, widths=(8,),
         instructions=MATRIX_INSTRUCTIONS, scale=MATRIX_SCALE,
-        engine_mode="accel",
     )
     run_matrix(**kwargs)  # training pass: install templates and edges
     matrix = run_matrix(**kwargs)
@@ -432,7 +420,7 @@ def measure_obs_hook(reps: int = 3, calls: int = 20_000) -> float:
 
     def hammer():
         for _ in range(calls):
-            obs.observe_cell("accel", result, 0.01, 0.01)
+            obs.observe_cell(result, 0.01, 0.01)
 
     seconds = _best_of(reps, hammer)
     # The hammering inflated the core counters; zero them so a later
@@ -476,13 +464,10 @@ def check_obs_identity() -> bool:
         shutil.rmtree(root, ignore_errors=True)
 
 
-def _obs_fractions(hook_seconds: float, engines_by_mode: dict) -> dict:
-    """Hook cost as a fraction of each mode's fastest measured cell."""
-    out = {}
-    for mode, engines in engines_by_mode.items():
-        fastest = min(row["seconds"] for row in engines.values())
-        out[mode] = round(hook_seconds / fastest, 6)
-    return out
+def _obs_fraction(hook_seconds: float, engines: dict) -> float:
+    """Hook cost as a fraction of the fastest measured cell."""
+    fastest = min(row["seconds"] for row in engines.values())
+    return round(hook_seconds / fastest, 6)
 
 
 def measure_serve_latency(reps: int = 5) -> dict:
@@ -709,11 +694,7 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
     # inside a best-of-2 pair reads as a phantom per-engine regression.
     # Deeper best-of only sharpens the estimate of the same quantity.
     engines = measure_engine_ips(ENGINE_INSTRUCTIONS, reps=4)
-    engines_interp = measure_engine_ips(ENGINE_INSTRUCTIONS, reps=4,
-                                        engine_mode="interp")
     quick_engines = measure_engine_ips(QUICK_INSTRUCTIONS, reps=3)
-    quick_engines_interp = measure_engine_ips(QUICK_INSTRUCTIONS, reps=3,
-                                              engine_mode="interp")
     matrix = measure_matrix(jobs)
     pool_overhead = measure_pool_overhead()
     serve = measure_serve_latency()
@@ -725,10 +706,7 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
         "hook_us_per_cell": round(hook_seconds * 1e6, 2),
         # Fraction of the *fastest quick-mode cell* — the strictest
         # denominator the quick gate will ever divide by.
-        "overhead_fraction": _obs_fractions(hook_seconds, {
-            "accel": quick_engines,
-            "interp": quick_engines_interp,
-        }),
+        "overhead_fraction": _obs_fraction(hook_seconds, quick_engines),
         "limit": OBS_OVERHEAD_LIMIT,
         "bit_identical": check_obs_identity(),
     }
@@ -759,11 +737,6 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
             arch: round(engines[arch]["ips"] * drift_pr4 / pr4_ips[arch], 2)
             for arch in engines
         },
-        "accel_vs_interp": {
-            arch: round(engines[arch]["ips"]
-                        / engines_interp[arch]["ips"], 2)
-            for arch in engines
-        },
         "single_process_vs_seed": round(
             seed_matrix * drift / matrix["serial_seconds"], 2
         ),
@@ -773,15 +746,13 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
             seed_matrix * drift / matrix["parallel_seconds"], 2
         )
     report = {
-        "schema": 8,
+        "schema": 9,
         "calibration_seconds": round(calibration, 5),
         "calibration_drift_vs_seed": round(drift, 3),
         "calibration_drift_vs_pr3": round(drift_pr3, 3),
         "calibration_drift_vs_pr4": round(drift_pr4, 3),
         "engines": engines,
-        "engines_interp": engines_interp,
         "quick_engines": quick_engines,
-        "quick_engines_interp": quick_engines_interp,
         "matrix": matrix,
         "pool": pool_overhead,
         "serve": serve,
@@ -800,11 +771,9 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
 
     print(f"wrote {output}")
     for arch, row in engines.items():
-        print(f"  {arch:7s} accel {row['ips']:>9,d} instr/s "
+        print(f"  {arch:7s} {row['ips']:>9,d} instr/s "
               f"({speedups['engine_ips_vs_seed'][arch]:.2f}x seed, "
               f"{speedups['engine_ips_vs_pr4'][arch]:.2f}x PR4, "
-              f"{speedups['accel_vs_interp'][arch]:.2f}x interp "
-              f"[{engines_interp[arch]['ips']:,d}], "
               f"chain {chain['per_engine'][arch]:.3f})")
     print(f"  chain hit rate  {chain['hit_rate']:.4f} on the default "
           f"matrix (committed floor {chain['floor']:.3f})")
@@ -833,9 +802,8 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
           f"{remote_store['peer_hit_ms']:.1f}ms (read-through fill), "
           f"peer miss {remote_store['peer_miss_ms']:.1f}ms")
     print(f"  obs hook        {obs_row['hook_us_per_cell']:.2f}us/cell "
-          f"({obs_row['overhead_fraction']['accel'] * 100:.3f}% of the "
-          f"fastest accel cell, "
-          f"{obs_row['overhead_fraction']['interp'] * 100:.3f}% interp; "
+          f"({obs_row['overhead_fraction'] * 100:.3f}% of the "
+          f"fastest cell; "
           f"bit-identical on/off: {obs_row['bit_identical']})")
     if store_dir:
         # Measured and reported after the JSON above was written:
@@ -853,40 +821,15 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
 
 
 def quick_run(baseline_path: str) -> int:
-    """CI smoke: short measurements in both modes vs the baseline.
-
-    The accelerated and interpreted paths regress independently (a
-    kernel-only bug leaves interp untouched and vice versa), so the
-    gate measures and compares both.
-    """
+    """CI smoke: short engine measurements vs the baseline."""
     warm_shared_caches(QUICK_INSTRUCTIONS)
-    currents = {
-        "accel": measure_engine_ips(QUICK_INSTRUCTIONS, reps=3),
-        "interp": measure_engine_ips(QUICK_INSTRUCTIONS, reps=3,
-                                     engine_mode="interp"),
-    }
-    # The per-engine accel/interp ratio makes a kernel-only regression
-    # readable straight off the quick report (the raw ips alone cannot
-    # separate "the host is slow" from "the accelerator stopped
-    # accelerating").
-    print("accel vs interp (quick workload):")
-    for arch in currents["accel"]:
-        a_ips = currents["accel"][arch]["ips"]
-        i_ips = currents["interp"][arch]["ips"]
-        print(f"  {arch:7s} accel {a_ips:>9,d} / interp {i_ips:>9,d} "
-              f"instr/s = {a_ips / i_ips:.2f}x")
+    current = measure_engine_ips(QUICK_INSTRUCTIONS, reps=3)
     if not os.path.exists(baseline_path):
         print(f"no baseline at {baseline_path}; nothing to gate against")
         return 0
     with open(baseline_path) as fh:
         report = json.load(fh)
-    baselines = {
-        "accel": report.get("quick_engines", {}),
-        # Schema-1 baselines predate the accelerator; their single
-        # quick_engines section was measured on the interpreted path.
-        "interp": report.get("quick_engines_interp",
-                             report.get("quick_engines", {})),
-    }
+    baseline = report.get("quick_engines", {})
     # Normalize out machine-speed drift: if the host currently runs the
     # fixed calibration workload at X times the baseline duration, the
     # engine floors scale by X too (clamped so a wildly off calibration
@@ -905,35 +848,32 @@ def quick_run(baseline_path: str) -> int:
         return base_ips / REGRESSION_TOLERANCE / drift
 
     suspects = []
-    for mode, current in currents.items():
-        baseline = baselines[mode]
-        for arch, row in current.items():
-            base = baseline.get(arch, {}).get("ips")
-            if base is None:
-                continue
-            floor = floor_for(base)
-            status = "ok" if row["ips"] >= floor else "suspect"
-            print(f"  {mode:6s} {arch:7s} {row['ips']:>9,d} instr/s "
-                  f"(baseline {base:,d}, floor {floor:,.0f}) {status}")
-            if row["ips"] < floor:
-                suspects.append((mode, arch))
+    for arch, row in current.items():
+        base = baseline.get(arch, {}).get("ips")
+        if base is None:
+            continue
+        floor = floor_for(base)
+        status = "ok" if row["ips"] >= floor else "suspect"
+        print(f"  {arch:7s} {row['ips']:>9,d} instr/s "
+              f"(baseline {base:,d}, floor {floor:,.0f}) {status}")
+        if row["ips"] < floor:
+            suspects.append(arch)
     if suspects:
         # A transient load burst can depress one measurement; re-measure
         # the suspects with more repetitions before failing the build.
-        names = ", ".join(f"{m}:{a}" for m, a in suspects)
-        print(f"re-measuring suspects: {names}")
+        print(f"re-measuring suspects: {', '.join(suspects)}")
         program = _engine_program()
         failed = []
-        for mode, arch in suspects:
+        for arch in suspects:
             row = _measure_one_engine(program, arch, QUICK_INSTRUCTIONS,
-                                      reps=5, engine_mode=mode)
-            base = baselines[mode][arch]["ips"]
+                                      reps=5)
+            base = baseline[arch]["ips"]
             floor = floor_for(base)
             status = "ok" if row["ips"] >= floor else "REGRESSION"
-            print(f"  {mode:6s} {arch:7s} {row['ips']:>9,d} instr/s "
+            print(f"  {arch:7s} {row['ips']:>9,d} instr/s "
                   f"(baseline {base:,d}, floor {floor:,.0f}) {status}")
             if row["ips"] < floor:
-                failed.append(f"{mode}:{arch}")
+                failed.append(arch)
         if failed:
             print(f"perf regression "
                   f">{(REGRESSION_TOLERANCE - 1) * 100:.0f}% "
@@ -941,23 +881,18 @@ def quick_run(baseline_path: str) -> int:
             return 1
 
     # Observability gate: the disabled-mode per-cell hook must stay
-    # invisible next to even the fastest quick cell, in both engine
-    # modes.  Measured directly (microseconds per call) rather than by
-    # wall-clock A/B, which cannot resolve 2% under host noise.
+    # invisible next to even the fastest quick cell.  Measured directly
+    # (microseconds per call) rather than by wall-clock A/B, which
+    # cannot resolve 2% under host noise.
     hook_seconds = measure_obs_hook()
-    fractions = _obs_fractions(hook_seconds, currents)
-    print(f"  obs hook {hook_seconds * 1e6:.2f}us/cell:")
-    obs_failed = []
-    for mode, fraction in sorted(fractions.items()):
-        status = "ok" if fraction < OBS_OVERHEAD_LIMIT else "REGRESSION"
-        print(f"    {mode:6s} {fraction * 100:.3f}% of the fastest cell "
-              f"(limit {OBS_OVERHEAD_LIMIT * 100:.0f}%) {status}")
-        if fraction >= OBS_OVERHEAD_LIMIT:
-            obs_failed.append(mode)
-    if obs_failed:
+    fraction = _obs_fraction(hook_seconds, current)
+    status = "ok" if fraction < OBS_OVERHEAD_LIMIT else "REGRESSION"
+    print(f"  obs hook {hook_seconds * 1e6:.2f}us/cell = "
+          f"{fraction * 100:.3f}% of the fastest cell "
+          f"(limit {OBS_OVERHEAD_LIMIT * 100:.0f}%) {status}")
+    if fraction >= OBS_OVERHEAD_LIMIT:
         print(f"obs hook overhead exceeds "
-              f"{OBS_OVERHEAD_LIMIT * 100:.0f}% of a cell "
-              f"on: {', '.join(obs_failed)}")
+              f"{OBS_OVERHEAD_LIMIT * 100:.0f}% of a cell")
         return 1
     if not check_obs_identity():
         print("results diverge with observability on vs off "

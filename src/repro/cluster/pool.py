@@ -102,7 +102,7 @@ class ClusterPool(Pool):
     follow the sweep-cell convention of
     :func:`repro.experiments.runner.run_matrix`: ``job.key`` is a
     ``RunSpec`` and ``job.args`` is ``(spec, instructions, warmup,
-    scale, program_key, engine_mode)`` — the tuple
+    scale, program_key)`` — the tuple
     ``_run_cell_worker`` takes, which is also everything a one-cell
     matrix query needs.  ``fn`` is used only on the local-fallback
     rung.
@@ -419,7 +419,7 @@ class ClusterPool(Pool):
     def _request_cell(self, generation: int, node: ClusterNode,
                       job: Job) -> None:
         """One remote cell round trip; runs on a dispatch thread."""
-        spec, instructions, warmup, scale, _program_key, mode = job.args
+        spec, instructions, warmup, scale, _program_key = job.args
         query = protocol.MatrixQuery(
             benchmarks=(spec.benchmark,),
             widths=(spec.width,),
@@ -428,7 +428,6 @@ class ClusterPool(Pool):
             instructions=instructions,
             warmup=warmup,
             scale=scale,
-            engine_mode=mode,
             deadline=self.policy.timeout,
         )
         put = self._queue.put

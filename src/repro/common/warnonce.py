@@ -9,9 +9,8 @@ history survives in the event stream), while the user-visible warning
 still fires exactly once per key.
 
 ``registry`` scopes the once-ness: the default is a process-global
-set (module-global semantics, as in :mod:`repro.accel`), while a
-caller that wants per-instance semantics (one warning per *pool*, as
-in :class:`repro.exec.pool.Pool`) passes its own set.
+set, while a caller that wants per-instance semantics (one warning per
+*pool*, as in :class:`repro.exec.pool.Pool`) passes its own set.
 """
 
 from __future__ import annotations

@@ -198,9 +198,7 @@ class TemplateStore(dict):
 #: fetch engine instance — so every backend simulating the same image
 #: under the same (width, latencies) can share one store: the second
 #: (architecture, rep) over an image replays warm templates instead of
-#: re-recording them.  Purity also makes sharing mode-neutral: the
-#: interpreted scheduler and the accel kernels read and write the same
-#: dicts with identical keys and values.
+#: re-recording them.
 _TEMPLATE_STORES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 

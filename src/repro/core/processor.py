@@ -102,7 +102,6 @@ class Processor:
         mem: MemoryHierarchy,
         benchmark: str = "?",
         optimized: bool = False,
-        engine_mode: Optional[str] = None,
     ) -> None:
         self.engine = engine
         self.machine = machine
@@ -117,18 +116,6 @@ class Processor:
         self.cursor = _TraceCursor(walker)
         self.benchmark = benchmark
         self.optimized = optimized
-        # ``engine_mode`` selects the execution strategy, never the
-        # results: "accel" runs the exec-compiled specialized kernels of
-        # :mod:`repro.accel` (bit-identical, falling back to the
-        # interpreter with a single warning if codegen fails), "interp"
-        # forces the interpreted path, None/"auto" consults $REPRO_ACCEL
-        # and defaults to the accelerator.
-        from repro import accel
-
-        self.engine_mode = accel.resolve_engine_mode(engine_mode)
-        self._accel_run = (
-            accel.compiled_run(self) if self.engine_mode == "accel" else None
-        )
 
     # ------------------------------------------------------------------
     def run(
@@ -147,21 +134,14 @@ class Processor:
         ``_reference_dispatch`` routes every instruction through the
         canonical :meth:`DataflowBackend.dispatch` — one call per slot —
         instead of the batched :meth:`DataflowBackend.dispatch_segment`.
-        It exists for the parity test that pins the two implementations
-        together; results must be identical either way (it also forces
-        the interpreted path, bypassing any bound accel kernel).
+        It is the reference model the parity tests pin the fast path
+        against; results must be identical either way.
         """
         # Observability happens only here, at the cell boundary — one
         # timestamp pair around the whole run, never inside the cycle
         # loop (the bench gate pins the hook's cost under 2%).
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
-        if self._accel_run is not None and not _reference_dispatch:
-            result = self._accel_run(max_instructions, warmup)
-            obs.observe_cell("accel", result,
-                             time.perf_counter() - wall0,
-                             time.process_time() - cpu0)
-            return result
         core = self.machine.core
         engine = self.engine
         cursor = self.cursor
@@ -463,8 +443,7 @@ class Processor:
             "chain_hits": chained,
             "chain_hit_rate": (chained / segs) if segs else 0.0,
         }
-        obs.observe_cell("interp", result,
-                         time.perf_counter() - wall0,
+        obs.observe_cell(result, time.perf_counter() - wall0,
                          time.process_time() - cpu0)
         return result
 

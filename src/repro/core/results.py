@@ -40,11 +40,10 @@ class SimulationResult:
     memory_stats: Dict[str, float] = field(default_factory=dict)
     #: Run diagnostics that depend on *how* the simulation executed,
     #: not on what it simulated — e.g. schedule-template chain hit
-    #: rates, which vary with shared-cache warmth across processors and
-    #: engine modes.  Excluded from equality (``compare=False``) and
-    #: stripped before a result is persisted to the artifact store:
-    #: simulation outputs stay bit-identical across engine modes, and
-    #: fingerprints/artifacts stay mode- and warmth-neutral.
+    #: rates, which vary with shared-cache warmth across processors.
+    #: Excluded from equality (``compare=False``) and stripped before a
+    #: result is persisted to the artifact store, so fingerprints and
+    #: artifacts stay warmth-neutral.
     extras: Dict[str, float] = field(default_factory=dict, compare=False)
 
     # ------------------------------------------------------------------
@@ -57,11 +56,16 @@ class SimulationResult:
 
     @property
     def fetch_ipc(self) -> float:
-        """Instructions the front-end delivered per active fetch cycle.
+        """Correct-path instructions delivered per correct-path fetch cycle.
 
         The paper's Table 3 "Fetch IPC": the actual fetch width achieved
-        when the engine produced instructions, including wrong-path
-        bundles (the front-end does not know better at that point).
+        when the engine produced instructions.  ``Processor.run`` counts
+        only correct-path work here: a cycle adds to ``fetch_cycles``
+        (and its instructions to ``fetched_instructions``) only if its
+        bundle delivered at least one correct-path instruction, and only
+        those instructions count.  Wrong-path bundles, and the
+        wrong-path tail of a bundle that diverged, go to
+        ``wrong_path_instructions`` instead.
         """
         if self.fetch_cycles == 0:
             return 0.0

@@ -30,9 +30,8 @@ class FaultPolicy:
         disables the deadline.
     ``retries``
         How many times a failed attempt is re-tried, so a cell runs at
-        most ``retries + 1`` times (plus one optional fallback attempt,
-        see :class:`~repro.exec.pool.Job`).  Crashes, timeouts and
-        exceptions all consume the same budget.
+        most ``retries + 1`` times.  Crashes, timeouts and exceptions
+        all consume the same budget.
     ``backoff`` / ``backoff_factor`` / ``backoff_max`` / ``jitter``
         Retry ``k`` (1-based) sleeps ``backoff * factor**(k-1)``
         seconds, stretched by up to ``jitter`` (a fraction) of

@@ -9,7 +9,7 @@ cited in ROADMAP.md, grown toward cluster backends later):
 
 :class:`SerialPool`
     Runs jobs in the calling process, in order.  Still applies the
-    retry/backoff/fallback policy (and, where the platform allows,
+    retry/backoff policy (and, where the platform allows,
     ``SIGALRM``-based attempt timeouts), so the serial path and the
     parallel path degrade identically.
 
@@ -28,15 +28,12 @@ Failure ladder, per :class:`~repro.exec.policy.FaultPolicy`:
 
 1. an attempt fails (exception / crash / timeout) → bounded retries
    with exponential, deterministically-jittered backoff;
-2. the primary attempts are exhausted and the job carries
-   ``fallback_args`` → one final attempt with them (``run_matrix`` uses
-   this to retry an ``accel`` cell under ``interp``), one warning per
-   pool;
-3. still failing → the job lands in the pool's failure set; after all
-   jobs settle, :class:`~repro.exec.policy.SweepError` names every
-   failed cell (everything that completed was already delivered through
-   the ``completed`` callback);
-4. orthogonally, more than ``max_rebuilds`` worker *crashes* degrade
+2. still failing once the retries are spent → the job lands in the
+   pool's failure set; after all jobs settle,
+   :class:`~repro.exec.policy.SweepError` names every failed cell
+   (everything that completed was already delivered through the
+   ``completed`` callback);
+3. orthogonally, more than ``max_rebuilds`` worker *crashes* degrade
    the forked pool to serial in-parent execution (one warning) — a host
    that keeps killing workers still finishes its sweep.
 
@@ -72,26 +69,17 @@ __all__ = ["Job", "Pool", "SerialPool", "ForkServerPool"]
 class Job:
     """One unit of work: ``fn(*args)`` under a key.
 
-    ``fallback_args`` — when set, a final attempt made with these after
-    the primary args exhaust the retry budget (step 2 of the failure
-    ladder).  The pool mutates only the bookkeeping fields
-    (``attempt``, ``failures``, ``used_fallback``); construct a fresh
-    ``Job`` per ``run``.
+    The pool mutates only the bookkeeping fields (``attempt``,
+    ``failures``); construct a fresh ``Job`` per ``run``.
     """
 
-    __slots__ = ("key", "args", "fallback_args", "attempt", "failures",
-                 "used_fallback")
+    __slots__ = ("key", "args", "attempt", "failures")
 
-    def __init__(self, key: Any, args: Tuple = (),
-                 fallback_args: Optional[Tuple] = None) -> None:
+    def __init__(self, key: Any, args: Tuple = ()) -> None:
         self.key = key
         self.args = tuple(args)
-        self.fallback_args = (
-            tuple(fallback_args) if fallback_args is not None else None
-        )
         self.attempt = 0          # number of the next attempt, 0-based
         self.failures: List[str] = []
-        self.used_fallback = False
 
 
 class Pool:
@@ -100,7 +88,7 @@ class Pool:
     def __init__(self, policy: Optional[FaultPolicy] = None) -> None:
         self.policy = policy or FaultPolicy()
         #: Per-pool warn-once registry (see repro.common.warn_once):
-        #: fallback/degradation notices fire once per *pool*, not once
+        #: degradation notices fire once per *pool*, not once
         #: per process.
         self._warn_keys: Set[str] = set()
         #: Utilization surface, uniform across backends: job *attempts*
@@ -148,24 +136,10 @@ class Pool:
     # ------------------------------------------------------------------
     # shared failure bookkeeping
     # ------------------------------------------------------------------
-    def _warn_fallback(self, job: Job) -> None:
-        obs.EXEC_FALLBACKS.inc()
-        obs.record_event(
-            "fallback", cell=str(job.key), attempts=len(job.failures),
-        )
-        warn_once(
-            "exec.fallback",
-            f"repro.exec: cell {job.key} exhausted its "
-            f"{self.policy.retries + 1} primary attempt(s); retrying "
-            f"once with its fallback arguments",
-            stacklevel=3, registry=self._warn_keys,
-        )
-
     def _next_action(self, job: Job, message: str) -> Tuple[str, float]:
         """Record one failed attempt; decide ``(action, delay)``.
 
-        ``action`` is ``"retry"`` (re-run, after ``delay`` seconds),
-        ``"fallback"`` (ditto, with the fallback args installed) or
+        ``action`` is ``"retry"`` (re-run, after ``delay`` seconds) or
         ``"fail"`` (budget exhausted).
         """
         job.failures.append(message)
@@ -177,13 +151,6 @@ class Pool:
                 error=message,
             )
             return "retry", backoff_delay(self.policy, job.key, job.attempt)
-        if job.fallback_args is not None and not job.used_fallback:
-            job.used_fallback = True
-            job.args = job.fallback_args
-            job.attempt += 1
-            self._warn_fallback(job)
-            return "fallback", backoff_delay(self.policy, job.key,
-                                             job.attempt)
         obs.EXEC_JOBS.inc(status="failed")
         obs.record_event(
             "job_failed", cell=str(job.key), attempts=len(job.failures),
@@ -298,7 +265,7 @@ class _attempt_deadline:
 
 
 class SerialPool(Pool):
-    """In-process execution with the full retry/fallback policy.
+    """In-process execution with the full retry policy.
 
     The ``timeout`` is enforced with ``SIGALRM`` where available (see
     :class:`_attempt_deadline`); on other platforms or threads a hung

@@ -37,7 +37,6 @@ def _run(
     width: int,
     instructions: int,
     machine: MachineParams = None,
-    engine_mode: str = None,
     **overrides,
 ) -> SimulationResult:
     processor = build_processor(
@@ -45,7 +44,6 @@ def _run(
         benchmark=benchmark, optimized=True,
         trace_seed=ref_trace_seed(benchmark),
         machine=machine,
-        engine_mode=engine_mode,
         **overrides,
     )
     return processor.run(instructions, warmup=instructions // 3)
@@ -57,7 +55,6 @@ def line_width_sweep(
     width: int = 8,
     instructions: int = 60_000,
     scale: float = 1.0,
-    engine_mode: str = None,
 ) -> str:
     """Fig. 7: stream fetch IPC vs. instruction cache line width."""
     program = prepare_program(benchmark, optimized=True, scale=scale)
@@ -74,7 +71,7 @@ def line_width_sweep(
         )
         machine = replace(base, memory=memory)
         result = _run("stream", program, benchmark, width, instructions,
-                      machine=machine, engine_mode=engine_mode)
+                      machine=machine)
         rows.append([
             line_bytes,
             line_bytes // 4,
@@ -96,7 +93,6 @@ def ftq_depth_sweep(
     width: int = 8,
     instructions: int = 60_000,
     scale: float = 1.0,
-    engine_mode: str = None,
 ) -> str:
     """FTQ depth sensitivity of the stream front-end."""
     program = prepare_program(benchmark, optimized=True, scale=scale)
@@ -105,7 +101,7 @@ def ftq_depth_sweep(
         base = default_machine(width)
         machine = replace(base, core=replace(base.core, ftq_entries=depth))
         result = _run("stream", program, benchmark, width, instructions,
-                      machine=machine, engine_mode=engine_mode)
+                      machine=machine)
         rows.append([depth, result.fetch_ipc, result.ipc])
     return format_table(
         ["FTQ entries", "fetch IPC", "IPC"],
@@ -119,7 +115,6 @@ def trace_storage_ablation(
     width: int = 8,
     instructions: int = 60_000,
     scale: float = 1.0,
-    engine_mode: str = None,
 ) -> str:
     """Selective trace storage and partial matching on/off."""
     program = prepare_program(benchmark, optimized=True, scale=scale)
@@ -134,7 +129,7 @@ def trace_storage_ablation(
     ]
     for name, kwargs in variants:
         result = _run("trace", program, benchmark, width, instructions,
-                      engine_mode=engine_mode, **kwargs)
+                      **kwargs)
         stats = result.engine_stats
         hits = stats.get("tc_hits", 0)
         misses = stats.get("tc_misses", 0)
@@ -156,7 +151,6 @@ def cascade_ablation(
     width: int = 8,
     instructions: int = 60_000,
     scale: float = 1.0,
-    engine_mode: str = None,
 ) -> str:
     """Stream predictor: full cascade vs. first-level-only."""
     program = prepare_program(benchmark, optimized=True, scale=scale)
@@ -173,7 +167,7 @@ def cascade_ablation(
     ]
     for name, config in variants:
         result = _run("stream", program, benchmark, width, instructions,
-                      engine_mode=engine_mode, predictor_config=config)
+                      predictor_config=config)
         rows.append([
             name,
             result.ipc,

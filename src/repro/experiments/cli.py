@@ -51,7 +51,6 @@ from repro.experiments.figures import figure8_text, figure9_text
 from repro.experiments.runner import run_matrix
 from repro.experiments.tables import table1_text, table3_text
 from repro.isa.workloads import SPEC_BENCHMARKS
-from repro.accel import ACCEL_ENV
 from repro.store.store import STORE_ENV, ArtifactStore, default_store_root
 
 
@@ -76,18 +75,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the simulation matrix "
                              "(results are identical to --jobs 1)")
-    accel = parser.add_mutually_exclusive_group()
-    accel.add_argument(
-        "--accel", dest="engine_mode", action="store_const", const="accel",
-        default=None,
-        help="run the exec-compiled simulation kernels (default: "
-             f"${ACCEL_ENV}, else on; results are bit-identical)",
-    )
-    accel.add_argument(
-        "--no-accel", dest="engine_mode", action="store_const",
-        const="interp",
-        help="force the interpreted simulation paths",
-    )
     _add_store(parser)
     parser.add_argument(
         "--serve", metavar="HOST:PORT", default=None,
@@ -256,11 +243,6 @@ def main(argv: List[str] | None = None) -> int:
             if value:
                 print(f"note: {flag} is ignored by {args.command} "
                       f"(serial simulation sweep)", file=sys.stderr)
-    if args.command == "table1" and args.engine_mode is not None:
-        # Table 1 walks the trace directly (no processor), so there is
-        # no engine to accelerate or interpret.
-        print("note: --accel/--no-accel is ignored by table1 "
-              "(trace walk, no simulation)", file=sys.stderr)
 
     def progress(result) -> None:
         if not args.quiet:
@@ -272,7 +254,6 @@ def main(argv: List[str] | None = None) -> int:
                             instructions=args.instructions,
                             scale=args.scale, progress=progress,
                             jobs=args.jobs, store=args.store,
-                            engine_mode=args.engine_mode,
                             fault_policy=fault_policy, resume=args.resume,
                             serve=args.serve, cluster=args.cluster,
                             peers=args.store_peers)
@@ -282,7 +263,6 @@ def main(argv: List[str] | None = None) -> int:
                             instructions=args.instructions,
                             scale=args.scale, progress=progress,
                             jobs=args.jobs, store=args.store,
-                            engine_mode=args.engine_mode,
                             fault_policy=fault_policy, resume=args.resume,
                             serve=args.serve, cluster=args.cluster,
                             peers=args.store_peers)
@@ -294,7 +274,6 @@ def main(argv: List[str] | None = None) -> int:
                             instructions=args.instructions,
                             scale=args.scale, progress=progress,
                             jobs=args.jobs, store=args.store,
-                            engine_mode=args.engine_mode,
                             fault_policy=fault_policy, resume=args.resume,
                             serve=args.serve, cluster=args.cluster,
                             peers=args.store_peers)
@@ -302,19 +281,19 @@ def main(argv: List[str] | None = None) -> int:
     elif args.command == "ablations":
         print(ablations.line_width_sweep(
             args.benchmark, instructions=args.instructions,
-            scale=args.scale, engine_mode=args.engine_mode))
+            scale=args.scale))
         print()
         print(ablations.ftq_depth_sweep(
             args.benchmark, instructions=args.instructions,
-            scale=args.scale, engine_mode=args.engine_mode))
+            scale=args.scale))
         print()
         print(ablations.trace_storage_ablation(
             args.benchmark, instructions=args.instructions,
-            scale=args.scale, engine_mode=args.engine_mode))
+            scale=args.scale))
         print()
         print(ablations.cascade_ablation(
             args.benchmark, instructions=args.instructions,
-            scale=args.scale, engine_mode=args.engine_mode))
+            scale=args.scale))
     print(f"(elapsed {time.time() - t0:.0f}s)", file=sys.stderr)
     return 0
 
@@ -539,7 +518,6 @@ def _profile_cell(args) -> int:
         arch, program, width,
         benchmark=benchmark, optimized=True,
         trace_seed=ref_trace_seed(benchmark),
-        engine_mode=args.engine_mode,
     )
     # The same fingerprint the store/journal would use for this cell
     # (warmup 0 — the profiling run has none), so before/after pstats

@@ -98,15 +98,9 @@ def build_processor(
     optimized: bool = False,
     trace_seed: Optional[int] = None,
     machine: Optional[MachineParams] = None,
-    engine_mode: Optional[str] = None,
     **engine_overrides,
 ) -> Processor:
-    """Assemble a complete simulated machine for one architecture.
-
-    ``engine_mode`` selects accelerated ("accel") or interpreted
-    ("interp") execution — results are bit-identical; None/"auto"
-    consults ``$REPRO_ACCEL`` and defaults to the accelerator.
-    """
+    """Assemble a complete simulated machine for one architecture."""
     machine = machine or default_machine(width)
     mem = MemoryHierarchy(machine.memory)
     engine = build_engine(arch, program, machine, mem, **engine_overrides)
@@ -114,7 +108,6 @@ def build_processor(
     return Processor(
         engine, walker, machine, mem,
         benchmark=benchmark, optimized=optimized,
-        engine_mode=engine_mode,
     )
 
 
@@ -127,7 +120,6 @@ def simulate(
     scale: float = 1.0,
     warmup: int = 0,
     program: Optional[Program] = None,
-    engine_mode: Optional[str] = None,
     **engine_overrides,
 ) -> SimulationResult:
     """One-call simulation of a (architecture, benchmark, width, layout).
@@ -141,7 +133,6 @@ def simulate(
         arch, program, width,
         benchmark=benchmark, optimized=optimized,
         trace_seed=ref_trace_seed(benchmark),
-        engine_mode=engine_mode,
         **engine_overrides,
     )
     return processor.run(instructions, warmup=warmup)

@@ -22,10 +22,9 @@ Dispatch goes through the fault-tolerant pools in :mod:`repro.exec`
 (:class:`~repro.exec.pool.SerialPool` /
 :class:`~repro.exec.pool.ForkServerPool`): worker crashes lose only the
 cells that worker held, failing cells retry under the configured
-:class:`~repro.exec.policy.FaultPolicy` (accel cells fall back to the
-interpreter before giving up), and a sweep that still cannot finish
-raises :class:`~repro.exec.policy.SweepError` naming the failed cells
-*after* everything else settled and persisted.
+:class:`~repro.exec.policy.FaultPolicy`, and a sweep that still cannot
+finish raises :class:`~repro.exec.policy.SweepError` naming the failed
+cells *after* everything else settled and persisted.
 
 ``store=`` extends the amortization *across processes and runs*: cells
 whose result fingerprint resolves in the on-disk artifact store (see
@@ -45,7 +44,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, \
     Tuple, Union
 
 from repro import obs
-from repro.accel import resolve_engine_mode
 from repro.common.params import default_machine
 from repro.common.warnonce import warn_once
 from repro.core.results import SimulationResult
@@ -279,14 +277,12 @@ def _run_cell(
     arch: str,
     instructions: int,
     warmup: int,
-    engine_mode: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate one matrix cell on an already-linked image."""
     processor = build_processor(
         arch, program, width,
         benchmark=benchmark, optimized=optimized,
         trace_seed=ref_trace_seed(benchmark),
-        engine_mode=engine_mode,
     )
     return processor.run(instructions, warmup=warmup)
 
@@ -335,7 +331,6 @@ def _run_cell_worker(
     warmup: int,
     scale: float,
     program_key: Optional[str] = None,
-    engine_mode: Optional[str] = None,
 ) -> SimulationResult:
     """Pool entry point: one (arch, benchmark, width, layout) cell.
 
@@ -351,8 +346,7 @@ def _run_cell_worker(
     )
     program = cache.get(spec.benchmark, spec.optimized, scale, key=key)
     result = _run_cell(program, spec.benchmark, spec.optimized, spec.width,
-                       spec.arch, instructions, warmup,
-                       engine_mode=engine_mode)
+                       spec.arch, instructions, warmup)
     if cache.artifacts is not None:
         # Persist the (possibly grown) dynamic trace; racing writers on
         # one key are safe — writes are atomic and any saved prefix
@@ -384,7 +378,6 @@ def _try_serve(
     instructions: int,
     warmup: int,
     scale: float,
-    engine_mode: Optional[str],
     progress: Optional[Callable[[SimulationResult], None]],
 ) -> Optional[RunMatrixResult]:
     """Ask a serve daemon for the matrix; None means "run locally".
@@ -406,7 +399,7 @@ def _try_serve(
         return ServeClient.at(serve).run_matrix(
             benchmarks, widths=widths, archs=archs, layouts=layouts,
             instructions=instructions, warmup=warmup, scale=scale,
-            engine_mode=engine_mode, progress=progress,
+            progress=progress,
         )
     except (ServeUnavailable, ServeOverloaded, ServeDraining) as exc:
         # Keyed per address: one warning, then every further matrix
@@ -501,7 +494,6 @@ def run_matrix(
     progress: Optional[Callable[[SimulationResult], None]] = None,
     jobs: int = 1,
     store: Optional[Union[ArtifactCache, ArtifactStore, str]] = None,
-    engine_mode: Optional[str] = None,
     fault_policy: Optional[FaultPolicy] = None,
     resume: bool = False,
     serve: Optional[str] = None,
@@ -509,11 +501,6 @@ def run_matrix(
     peers: Optional[Union[str, Sequence[str]]] = None,
 ) -> RunMatrixResult:
     """Simulate the full cross product and return all results.
-
-    ``engine_mode`` selects accelerated ("accel") or interpreted
-    ("interp") simulation per cell — results (and therefore store
-    fingerprints) are bit-identical either way; None/"auto" consults
-    ``$REPRO_ACCEL`` and defaults to the accelerator.
 
     ``warmup`` defaults to a third of the instruction budget — the
     predictors and caches train during it, and it is excluded from the
@@ -546,13 +533,11 @@ def run_matrix(
     retries with deterministic backoff, worker-rebuild budget — see
     :class:`~repro.exec.policy.FaultPolicy`); both the serial and the
     pooled path run through :mod:`repro.exec`, so they degrade
-    identically.  A cell that keeps failing under the accelerator is
-    retried once interpreted (with one warning) before it counts as
-    failed; if any cell remains failed after every other cell settles,
-    :class:`~repro.exec.policy.SweepError` names them — everything
-    that completed was already delivered to ``progress`` and persisted
-    to the store and its sweep journal, so a re-run with the same
-    ``store`` resumes instead of starting over.  ``resume=True``
+    identically.  If any cell remains failed after every other cell
+    settles, :class:`~repro.exec.policy.SweepError` names them —
+    everything that completed was already delivered to ``progress`` and
+    persisted to the store and its sweep journal, so a re-run with the
+    same ``store`` resumes instead of starting over.  ``resume=True``
     (requires ``store``) additionally reports the journaled progress of
     the interrupted sweep on stderr before running the missing cells.
 
@@ -588,8 +573,7 @@ def run_matrix(
         warmup = instructions // 3
     if serve is not None:
         remote = _try_serve(serve, benchmarks, widths, archs, layouts,
-                            instructions, warmup, scale, engine_mode,
-                            progress)
+                            instructions, warmup, scale, progress)
         if remote is not None:
             return remote
     if resume and store is None:
@@ -620,7 +604,6 @@ def run_matrix(
 
     misses = [spec for spec in specs if spec not in cached]
     policy = fault_policy or FaultPolicy()
-    mode = resolve_engine_mode(engine_mode)
 
     journal: Optional[SweepJournal] = None
     recorder = None
@@ -645,7 +628,6 @@ def run_matrix(
             obs.record_event(
                 "sweep_begin", sweep=sweep_fp, cells=len(specs),
                 cached=len(cached), misses=len(misses), jobs=jobs,
-                engine=mode,
             )
 
     def finish_recording() -> None:
@@ -700,16 +682,11 @@ def run_matrix(
         done[spec] = result
         advance()
 
-    def make_job(spec: RunSpec) -> Job:
-        args = (spec, instructions, warmup, scale,
-                program_fps.get((spec.benchmark, spec.optimized)), mode)
-        # An accel cell that exhausts its retries gets one last shot
-        # interpreted — results are bit-identical across engines, so a
-        # kernel-level fault must not fail the sweep.
-        fallback = args[:-1] + ("interp",) if mode == "accel" else None
-        return Job(spec, args, fallback_args=fallback)
-
-    cell_jobs = [make_job(spec) for spec in misses]
+    cell_jobs = [
+        Job(spec, (spec, instructions, warmup, scale,
+                   program_fps.get((spec.benchmark, spec.optimized))))
+        for spec in misses
+    ]
 
     if cluster is not None:
         from repro.cluster.pool import ClusterPool
@@ -813,14 +790,13 @@ def run_matrix(
         cell_warmup: int,
         cell_scale: float,
         program_key: Optional[str],
-        cell_mode: Optional[str],
     ) -> SimulationResult:
         program = cache.get(spec.benchmark, spec.optimized, cell_scale,
                             key=program_key, artifacts=artifacts)
         used_programs[(spec.benchmark, spec.optimized)] = program
         return _run_cell(program, spec.benchmark, spec.optimized,
                          spec.width, spec.arch, cell_instructions,
-                         cell_warmup, engine_mode=cell_mode)
+                         cell_warmup)
 
     try:
         with SerialPool(policy=policy) as pool:

@@ -90,26 +90,6 @@ class Cache:
         ways.insert(0, tag)
         return True
 
-    def access_tail(self, ways: List[int], tag: int) -> bool:
-        """Non-MRU remainder of :meth:`access`.
-
-        The accelerator kernels inline the MRU fast path and the access
-        counter at their probe sites and fall back here for reordering
-        hits and miss fills — counter and LRU semantics are exactly
-        those of :meth:`access` (which stays the canonical entry point).
-        """
-        try:
-            ways.remove(tag)
-        except ValueError:
-            self.misses += 1
-            ways.insert(0, tag)
-            if len(ways) > self._assoc:
-                ways.pop()
-                self.evictions += 1
-            return False
-        ways.insert(0, tag)
-        return True
-
     def probe(self, addr: int) -> bool:
         """Check residency without changing any state."""
         ways, tag = self._locate(addr)

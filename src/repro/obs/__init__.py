@@ -5,7 +5,7 @@ this module without cycles or optional dependencies:
 
 * **Metrics** (:mod:`repro.obs.registry`): a process-global registry
   of counters/gauges/histograms with bounded label sets.  The store,
-  exec pools, serve daemon, accel engine, and core run loop publish
+  exec pools, serve daemon and core run loop publish
   into the pre-declared instruments below.  Counter updates are a few
   microseconds and happen only at cell/segment boundaries, so they
   stay on unconditionally — the bench gate
@@ -177,9 +177,6 @@ EXEC_JOBS = _R.counter(
     "Sweep cells finishing in the executor, by outcome.", ("status",))
 EXEC_RETRIES = _R.counter(
     "repro_exec_retries_total", "Cell attempts retried after a failure.")
-EXEC_FALLBACKS = _R.counter(
-    "repro_exec_fallbacks_total",
-    "Cells switched to their fallback arguments.")
 EXEC_TIMEOUTS = _R.counter(
     "repro_exec_timeouts_total", "Cells killed by the per-job deadline.")
 EXEC_REBUILDS = _R.counter(
@@ -264,29 +261,22 @@ STORE_REMOTE_REPLICATION_BACKLOG = _R.gauge(
     "repro_store_remote_replication_backlog",
     "Entries waiting in the write-behind replication queue.")
 
-# accel
-ACCEL_KERNEL_COMPILES = _R.counter(
-    "repro_accel_kernel_compiles_total",
-    "Specialized kernels actually compiled (memo misses).")
-ACCEL_FALLBACKS = _R.counter(
-    "repro_accel_fallbacks_total",
-    "Runs that fell back from accel to the interpreted engine.")
-CHAIN_SEGMENTS = _R.counter(
-    "repro_accel_chain_segments_total",
-    "Schedule segments simulated (chain-eligible units).")
-CHAIN_HITS = _R.counter(
-    "repro_accel_chain_hits_total",
-    "Segments served from the chain schedule cache.")
-
 # core run loop
 CORE_CELLS = _R.counter(
-    "repro_core_cells_total", "Cells simulated, by engine.", ("engine",))
+    "repro_core_cells_total", "Cells simulated, by fetch engine.",
+    ("engine",))
 CORE_INSTRUCTIONS = _R.counter(
     "repro_core_instructions_total", "Instructions committed across cells.")
 CORE_CYCLES = _R.counter(
     "repro_core_cycles_total", "Cycles simulated across cells.")
 CORE_CELL_SECONDS = _R.histogram(
     "repro_core_cell_seconds", "Wall-clock seconds per simulated cell.")
+CHAIN_SEGMENTS = _R.counter(
+    "repro_core_chain_segments_total",
+    "Schedule segments simulated (chain-eligible units).")
+CHAIN_HITS = _R.counter(
+    "repro_core_chain_hits_total",
+    "Segments served from the chain schedule cache.")
 
 # warnings (fed by repro.common.warn_once)
 WARNINGS = _R.counter(
@@ -307,16 +297,12 @@ def reset_metrics() -> None:
 # Cell-boundary hook
 # ---------------------------------------------------------------------------
 
-def observe_cell(
-    engine: str,
-    result: object,
-    wall: float,
-    cpu: float,
-) -> None:
+def observe_cell(result: object, wall: float, cpu: float) -> None:
     """Publish one finished simulation into metrics and the event
     stream.  Called exactly once per cell, at the run boundary —
     never from inside the cycle loop.
     """
+    engine = getattr(result, "engine", "?")
     CORE_CELLS.inc(engine=engine)
     instructions = getattr(result, "instructions", 0)
     cycles = getattr(result, "cycles", 0)

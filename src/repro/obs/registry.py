@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 The registry is deliberately tiny and stdlib-only so every layer of
-the package — store, exec, serve, accel, the core run loop — can
+the package — store, exec, serve, the core run loop — can
 publish into it without import cycles or optional dependencies.  All
 instruments share three properties:
 

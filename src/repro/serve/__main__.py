@@ -212,7 +212,6 @@ def _query(**overrides: Any) -> MatrixQuery:
         archs=params["archs"], layouts=params["layouts"],
         instructions=params["instructions"], warmup=params["warmup"],
         scale=params["scale"],
-        engine_mode=params.get("engine_mode"),
         deadline=params.get("deadline"),
     )
 

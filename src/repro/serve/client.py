@@ -212,7 +212,6 @@ class ServeClient:
         instructions: int = 100_000,
         warmup: Optional[int] = None,
         scale: float = 1.0,
-        engine_mode: Optional[str] = None,
         deadline: Optional[float] = None,
         progress: Optional[Callable[[SimulationResult], None]] = None,
     ) -> "Any":
@@ -231,7 +230,7 @@ class ServeClient:
             archs=tuple(archs), layouts=tuple(layouts),
             instructions=instructions,
             warmup=instructions // 3 if warmup is None else warmup,
-            scale=float(scale), engine_mode=engine_mode, deadline=deadline,
+            scale=float(scale), deadline=deadline,
         )
         response = self.matrix(query)
         cells = response.get("cells")

@@ -16,8 +16,7 @@ Requests::
     {"op": "drain"}
     {"op": "matrix", "benchmarks": [...], "widths": [...],
      "archs": [...], "layouts": [...], "instructions": N,
-     "warmup": N | null, "scale": F, "engine_mode": "accel"|"interp"|null,
-     "deadline": SECONDS | null}
+     "warmup": N | null, "scale": F, "deadline": SECONDS | null}
     {"op": "store_has", "version": SALT, "kind": K, "fps": [...] | null}
     {"op": "store_get", "version": SALT, "kind": K, "fp": FP}
     {"op": "store_put", "version": SALT, "kind": K, "fp": FP,
@@ -224,7 +223,6 @@ class MatrixQuery:
     instructions: int
     warmup: int
     scale: float
-    engine_mode: Optional[str] = None
     #: Wall-clock seconds the *client* is willing to wait; None waits
     #: indefinitely.  On expiry the daemon answers with per-cell
     #: partial results instead of blocking.
@@ -240,7 +238,6 @@ class MatrixQuery:
             "instructions": self.instructions,
             "warmup": self.warmup,
             "scale": self.scale,
-            "engine_mode": self.engine_mode,
             "deadline": self.deadline,
         }
 
@@ -307,10 +304,6 @@ def parse_matrix_query(message: Dict[str, Any]) -> MatrixQuery:
              isinstance(scale, bool) and scale > 0,
              "scale must be a positive number")
 
-    engine_mode = message.get("engine_mode")
-    _require(engine_mode in (None, "auto", "accel", "interp"),
-             "engine_mode must be one of accel, interp, auto, null")
-
     deadline = message.get("deadline")
     _require(deadline is None or (isinstance(deadline, (int, float))
              and not isinstance(deadline, bool)),
@@ -319,7 +312,7 @@ def parse_matrix_query(message: Dict[str, Any]) -> MatrixQuery:
     return MatrixQuery(
         benchmarks=benchmarks, widths=widths, archs=archs,
         layouts=layouts, instructions=instructions, warmup=warmup,
-        scale=float(scale), engine_mode=engine_mode,
+        scale=float(scale),
         deadline=float(deadline) if deadline is not None else None,
     )
 

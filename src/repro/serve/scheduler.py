@@ -50,7 +50,6 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import obs
-from repro.accel import resolve_engine_mode
 from repro.common.warnonce import warn_once
 from repro.exec.journal import SweepJournal, sweep_fingerprint
 from repro.exec.policy import FaultPolicy, SweepError
@@ -92,14 +91,13 @@ class Draining(Exception):
 class _CellTask:
     """One owned cold cell on the executor queue."""
 
-    __slots__ = ("fp", "spec", "args", "fallback", "cell", "dispatches")
+    __slots__ = ("fp", "spec", "args", "cell", "dispatches")
 
     def __init__(self, fp: str, spec: RunSpec, args: Tuple,
-                 fallback: Optional[Tuple], cell: PendingCell) -> None:
+                 cell: PendingCell) -> None:
         self.fp = fp
         self.spec = spec
         self.args = args
-        self.fallback = fallback
         self.cell = cell
         self.dispatches = 0
 
@@ -290,7 +288,6 @@ class ExperimentScheduler:
                     warm[spec] = hit
 
         cold = [spec for spec in specs if spec not in warm]
-        mode = resolve_engine_mode(query.engine_mode)
 
         with self._lock:
             if self._draining:
@@ -323,13 +320,8 @@ class ExperimentScheduler:
                     continue  # warm, or coalesced onto another request
                 cell, _ = claims[spec]
                 args = (spec, query.instructions, query.warmup, query.scale,
-                        program_fps[(spec.benchmark, spec.optimized)], mode)
-                fallback = (
-                    args[:-1] + ("interp",) if mode == "accel" else None
-                )
-                self._queue.append(
-                    _CellTask(fps[spec], spec, args, fallback, cell)
-                )
+                        program_fps[(spec.benchmark, spec.optimized)])
+                self._queue.append(_CellTask(fps[spec], spec, args, cell))
                 if journal is not None:
                     with self._journal_lock:
                         self._journals.setdefault(fps[spec], []) \
@@ -437,7 +429,7 @@ class ExperimentScheduler:
                           artifacts=self._artifacts)
             except Exception as exc:
                 # Linking failures surface per-cell through the pool
-                # (with retries/fallback), not as a batch abort.
+                # (with retries), not as a batch abort.
                 warnings.warn(
                     f"repro.serve: pre-linking {image} failed ({exc}); "
                     f"workers will link on demand",
@@ -502,8 +494,7 @@ class ExperimentScheduler:
         # same spec under different parameters).
         by_key = {(task.spec, task.fp): task for task in runnable}
         self._prelink_images(runnable)
-        jobs = [Job((task.spec, task.fp), task.args,
-                    fallback_args=task.fallback) for task in runnable]
+        jobs = [Job((task.spec, task.fp), task.args) for task in runnable]
 
         def on_completed(job: Job, result: Any) -> None:
             task = by_key[job.key]
@@ -525,7 +516,7 @@ class ExperimentScheduler:
             pool.run(_run_cell_worker, jobs, completed=on_completed)
         except SweepError as exc:
             # The pool machinery worked; these cells exhausted their
-            # per-cell fault budget (retries + engine fallback).
+            # per-cell fault budget (retries).
             for key, messages in exc.failures.items():
                 self._fail_task(by_key[key],
                                 messages[-1] if messages else "failed")

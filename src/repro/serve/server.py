@@ -120,7 +120,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
             return status
         if op == "metrics":
             # Prometheus text covering this process's registry — store,
-            # exec, serve, accel and core families alike, since they
+            # exec, serve and core families alike, since they
             # all share the process-global registry.
             return {"ok": True, "op": "metrics",
                     "content_type": obs.PROMETHEUS_CONTENT_TYPE,

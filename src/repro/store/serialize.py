@@ -97,9 +97,8 @@ def load_trace(data: bytes, program: Program, seed: int) -> TraceRecord:
 def dump_result(result: SimulationResult) -> bytes:
     if result.extras:
         # ``extras`` carries run diagnostics (chain hit rates) that vary
-        # with shared-cache warmth and engine mode.  Simulation outputs
-        # are bit-identical across modes; dropping the diagnostics keeps
-        # the encoded artifact — and its content address — neutral too.
+        # with shared-cache warmth; dropping them keeps the encoded
+        # artifact — and its content address — warmth-neutral.
         import dataclasses
 
         result = dataclasses.replace(result, extras={})

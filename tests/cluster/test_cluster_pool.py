@@ -80,7 +80,7 @@ class FakeClient:
 def _jobs(n):
     widths = (2, 4, 8, 16, 32)[:n]
     return [
-        Job(spec, (spec, 3000, 1000, 0.3, None, None))
+        Job(spec, (spec, 3000, 1000, 0.3, None))
         for spec in (RunSpec("stream", "gzip", w, True) for w in widths)
     ]
 
@@ -94,8 +94,7 @@ def _pool(clients, **kwargs):
     )
 
 
-def _local_fn(spec, instructions, warmup, scale, program_key,
-              engine_mode):
+def _local_fn(spec, instructions, warmup, scale, program_key):
     return ("local", spec.width)
 
 
@@ -246,7 +245,7 @@ def test_run_matrix_cluster_ingests_wire_bytes_into_store(
                            query.widths[0], query.layouts[0])
             result = _run_cell_worker(
                 spec, query.instructions, query.warmup, query.scale,
-                None, query.engine_mode,
+                None,
             )
             cell = dict(protocol.spec_to_wire(spec),
                         status=protocol.CELL_OK,

@@ -36,16 +36,12 @@ def _isolated_artifact_store(monkeypatch):
     Store-aware code paths only engage when a store is passed
     explicitly; clearing ``REPRO_STORE`` guarantees the CLI's env
     default cannot point tests at ``~``-level state.  Tests that want a
-    store use ``tmp_path``.  ``REPRO_ACCEL`` is cleared for the same
-    reason: the suite runs the default engine mode (accel with
-    interpreter fallback) regardless of the invoking shell, and tests
-    that pin a mode pass ``engine_mode`` explicitly.
+    store use ``tmp_path``.
     """
     monkeypatch.delenv("REPRO_STORE", raising=False)
     # Nor at anyone's live store *peers*: federated read-through must
     # be something a test sets up explicitly.
     monkeypatch.delenv("REPRO_STORE_PEERS", raising=False)
-    monkeypatch.delenv("REPRO_ACCEL", raising=False)
     # Observability runs at its default (recording enabled) regardless
     # of the invoking shell; tests that pin a state set ``REPRO_OBS``
     # themselves.

@@ -2,11 +2,11 @@
 
 The transition tables are a pure fast path — on any (hit, miss,
 install, eviction) interleaving the simulation outputs must be
-bit-identical to the keyed path, the per-slot path, and the interpreted
-engine.  These tests randomize the machine shape to vary segment
-timings (and therefore which chain edges form), force template-store
-eviction to exercise the generation invalidation, and pin the
-stale-edge guarantee directly.
+bit-identical to the keyed path and the per-slot reference path.
+These tests randomize the machine shape to vary segment timings (and
+therefore which chain edges form), force template-store eviction to
+exercise the generation invalidation, and pin the stale-edge guarantee
+directly.
 """
 
 import random
@@ -28,18 +28,20 @@ def gzip_small():
     return prepare_program("gzip", optimized=True, scale=0.35)
 
 
-def _build(program, arch, width, mode, machine=None):
+def _build(program, arch, width, machine=None):
     return build_processor(
         arch, program, width,
         benchmark="gzip", optimized=True,
         trace_seed=ref_trace_seed("gzip"),
-        machine=machine, engine_mode=mode,
+        machine=machine,
     )
 
 
-def _run(program, arch, width, mode, machine=None, n=5000, warmup=1000):
-    return _build(program, arch, width, mode, machine=machine).run(
-        n, warmup=warmup
+def _run(program, arch, width, machine=None, n=5000, warmup=1000,
+         reference=False):
+    """``reference=True`` runs the per-slot reference dispatch."""
+    return _build(program, arch, width, machine=machine).run(
+        n, warmup=warmup, _reference_dispatch=reference
     )
 
 
@@ -71,7 +73,8 @@ def _random_machine(rng, width):
 
 
 class TestRandomizedChainParity:
-    """accel vs interp x chains on/off over randomized machine shapes."""
+    """Segment path vs per-slot reference x chains on/off over
+    randomized machine shapes."""
 
     @pytest.mark.parametrize("width", [2, 4, 8])
     @pytest.mark.parametrize("seed", [11, 23])
@@ -84,21 +87,21 @@ class TestRandomizedChainParity:
         for chains in (True, False):
             monkeypatch.setenv(backend_mod.CHAINS_ENV,
                                "1" if chains else "0")
-            for mode in ("accel", "interp"):
-                result = _run(gzip_small, arch, width, mode,
-                              machine=machine)
-                digests[(chains, mode)] = result_digest(result)
+            for reference in (False, True):
+                result = _run(gzip_small, arch, width, machine=machine,
+                              reference=reference)
+                digests[(chains, reference)] = result_digest(result)
                 if not chains:
                     assert result.extras["chain_hits"] == 0
-        reference = digests[(True, "accel")]
+        reference = digests[(True, False)]
         for key, digest in digests.items():
             assert digest == reference, f"divergence at {key}"
 
     def test_chain_hits_actually_happen(self, gzip_small):
         """The parity above must not pass vacuously: on the default
         machine the chained path carries the bulk of the segments."""
-        result = _run(gzip_small, "ev8", 8, "accel", n=20_000, warmup=0)
-        result = _run(gzip_small, "ev8", 8, "accel", n=20_000, warmup=0)
+        result = _run(gzip_small, "ev8", 8, n=20_000, warmup=0)
+        result = _run(gzip_small, "ev8", 8, n=20_000, warmup=0)
         assert result.extras["segments"] > 1000
         assert result.extras["chain_hit_rate"] > 0.8
 
@@ -109,27 +112,19 @@ class TestForcedEviction:
     def test_results_identical_under_eviction_churn(self, gzip_small,
                                                     monkeypatch):
         reference = result_digest(
-            _run(gzip_small, "stream", 8, "accel", n=8000)
+            _run(gzip_small, "stream", 8, n=8000, reference=True)
         )
         # A tiny cache limit forces the shared store to clear every few
         # recordings — every chain edge repeatedly goes stale mid-run.
-        from repro.accel import clear_compile_cache, core_gen
-
         monkeypatch.setattr(backend_mod, "_TPL_CACHE_LIMIT", 8)
-        monkeypatch.setattr(core_gen, "_TPL_CACHE_LIMIT", 8)
-        clear_compile_cache()
-        try:
-            for mode in ("accel", "interp"):
-                churned = _run(gzip_small, "stream", 8, mode, n=8000)
-                assert result_digest(churned) == reference, mode
-        finally:
-            clear_compile_cache()
+        churned = _run(gzip_small, "stream", 8, n=8000)
+        assert result_digest(churned) == reference
 
     def test_stale_edge_never_replays_freed_template(self, gzip_small):
         """After an eviction the chain must reject every stale edge:
         the hit counter pauses, and the re-grown store contains only
         current-generation templates and edges."""
-        processor = _build(gzip_small, "ev8", 8, "interp")
+        processor = _build(gzip_small, "ev8", 8)
         backend = processor.backend
         store = backend._templates
         processor.run(4000)
@@ -164,7 +159,7 @@ class TestForcedEviction:
                         assert successor[7] == store.generation
 
     def test_edge_installation_is_bounded(self, gzip_small):
-        processor = _build(gzip_small, "trace", 8, "accel")
+        processor = _build(gzip_small, "trace", 8)
         processor.run(30_000)
         for tpl in processor.backend._templates.values():
             assert len(tpl[8]) <= backend_mod._CHAIN_EDGE_LIMIT
@@ -192,22 +187,24 @@ class TestTemplateStore:
 
 class TestExtras:
     def test_extras_report_chain_rate(self, gzip_small):
-        result = _run(gzip_small, "ftb", 8, "accel", n=4000)
+        result = _run(gzip_small, "ftb", 8, n=4000)
         x = result.extras
         assert set(x) == {"segments", "chain_hits", "chain_hit_rate"}
         assert x["segments"] > 0
         assert 0.0 <= x["chain_hit_rate"] <= 1.0
 
     def test_extras_never_break_equality(self, gzip_small):
-        a = _run(gzip_small, "ftb", 8, "accel", n=3000)
-        b = _run(gzip_small, "ftb", 8, "interp", n=3000)
-        assert a == b  # dataclass equality excludes extras
-        assert a.extras != b.extras or a.extras == b.extras  # present
+        a = _run(gzip_small, "ftb", 8, n=3000)
+        b = _run(gzip_small, "ftb", 8, n=3000, reference=True)
+        # The per-slot reference schedules no segments, so its
+        # diagnostics differ; dataclass equality excludes them.
+        assert a.extras != b.extras
+        assert a == b
 
     def test_extras_stripped_from_stored_artifacts(self, gzip_small):
         from repro.store import serialize
 
-        result = _run(gzip_small, "ftb", 8, "accel", n=3000)
+        result = _run(gzip_small, "ftb", 8, n=3000)
         assert result.extras
         decoded = serialize.load_result(serialize.dump_result(result))
         assert decoded.extras == {}

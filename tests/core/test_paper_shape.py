@@ -2,7 +2,10 @@
 
 These use one small benchmark and modest instruction counts, so they
 check *orderings and directions*, not the exact percentages of the
-paper; EXPERIMENTS.md records the full-size comparison.
+paper.  The exact values are pinned elsewhere: ``tests/golden/golden.json``
+holds per-cell digests and IPC / mispredict / fetch-IPC figures for a
+small matrix, and ``perfbench/digests.json`` holds digests of the
+benchmark's fig8/fig9 outputs.
 """
 
 import pytest

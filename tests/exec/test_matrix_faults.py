@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import warnings
 
 import pytest
 
@@ -61,32 +60,12 @@ def test_transient_exceptions_bit_identical(baseline):
 
 
 @pytest.mark.faults(timeout=300)
-def test_failing_accel_cell_falls_back_once(baseline):
-    # Two primary attempts (retries=1) are injected to fail; the final
-    # fallback attempt runs the cell under the interpreter and must
-    # still produce the bit-identical result.
-    policy = FaultPolicy(retries=1, backoff=0.0)
-    with active_plan(FaultSpec("exc", match="ev8", times=2)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = run_matrix(**KW, fault_policy=policy)
-    assert got.results == baseline.results
-    fallback = [w for w in caught
-                if "fallback arguments" in str(w.message)]
-    assert len(fallback) == 1
-
-
-@pytest.mark.faults(timeout=300)
 def test_sweep_error_names_cells_and_resume_reuses_survivors(
     tmp_path, baseline
 ):
     cache = ArtifactCache(str(tmp_path))
     with active_plan(FaultSpec("exc", match="ev8", times=10)):
-        with pytest.raises(SweepError) as excinfo, \
-                warnings.catch_warnings():
-            # The doomed cell legitimately announces its (also doomed)
-            # accel->interp fallback attempt on the way down.
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SweepError) as excinfo:
             run_matrix(**KW, store=cache,
                        fault_policy=FaultPolicy(retries=1, backoff=0.0))
     err = excinfo.value
@@ -95,7 +74,7 @@ def test_sweep_error_names_cells_and_resume_reuses_survivors(
     assert "ev8" in str(err)
     (key,) = err.failures
     assert key.arch == "ev8"
-    assert len(err.failures[key]) == 3  # 2 primary attempts + fallback
+    assert len(err.failures[key]) == 2  # 1 try + 1 retry
 
     # The stream cell settled before the sweep failed and was persisted:
     # the re-run serves it from the store and simulates only ev8.

@@ -22,12 +22,6 @@ from repro.exec.faults import active_plan
 FAST = FaultPolicy(retries=2, backoff=0.0)
 
 
-def _mode_probe(flag: str) -> str:
-    if flag == "primary":
-        raise RuntimeError("primary engine broken")
-    return f"ran-{flag}"
-
-
 def _local_result() -> object:
     return lambda: None  # unpicklable on purpose
 
@@ -102,23 +96,6 @@ def test_serial_pool_raises_sweep_error_after_all_jobs_settle():
     assert len(err.failures["flaky-1"]) == 2  # 1 try + 1 retry
     assert err.completed == 1  # solid-2 still ran
     assert "flaky-1" in str(err)
-
-
-def test_fallback_args_used_after_retries_with_single_warning():
-    jobs = [
-        Job("cell-a", ("primary",), fallback_args=("fallback",)),
-        Job("cell-b", ("primary",), fallback_args=("fallback",)),
-    ]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results = SerialPool(policy=FaultPolicy(retries=1, backoff=0.0)).run(
-            _mode_probe, jobs
-        )
-    assert results == {"cell-a": "ran-fallback", "cell-b": "ran-fallback"}
-    assert all(job.used_fallback for job in jobs)
-    relevant = [w for w in caught if "fallback" in str(w.message)]
-    assert len(relevant) == 1  # one warning per pool, not per cell
-    assert issubclass(relevant[0].category, RuntimeWarning)
 
 
 @pytest.mark.faults(timeout=60)

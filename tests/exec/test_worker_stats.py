@@ -5,14 +5,40 @@ from __future__ import annotations
 
 import operator
 import os
+import time
+
+import pytest
 
 from repro.exec import FaultPolicy, ForkServerPool, Job, SerialPool
 
 
-def _victim_or_ok(flag: str) -> str:
-    if flag == "die":
+def _crash_once(marks: str) -> str:
+    """Kill the worker on the first attempt; succeed on the retry."""
+    crashed = os.path.join(marks, "crashed")
+    if not os.path.exists(crashed):
+        open(crashed, "w").close()
         os._exit(11)
-    return flag
+    open(os.path.join(marks, "done"), "w").close()
+    return "recovered"
+
+
+def _wait_for_retry(marks: str) -> str:
+    """Hold a worker until the crashed job's retry has finished."""
+    done = os.path.join(marks, "done")
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(done):
+        if time.monotonic() > deadline:
+            raise TimeoutError("the crashed job was never retried")
+        time.sleep(0.01)
+    return "held"
+
+
+def _cell(kind: str, marks: str) -> str:
+    if kind == "victim":
+        return _crash_once(marks)
+    if kind == "hold":
+        return _wait_for_retry(marks)
+    return kind
 
 
 def test_serial_pool_counts_dispatches_and_completions():
@@ -53,21 +79,27 @@ def test_fork_pool_reports_per_worker_slots():
                           "completed"} for w in workers)
 
 
-def test_fork_pool_worker_counters_survive_rebuilds():
-    # A crashed worker's replacement reuses its slot; pool-level
-    # totals keep counting across the rebuild.
-    jobs = [Job("victim", ("die",), fallback_args=("ok",))] + [
-        Job(f"ok-{i}", (f"v{i}",)) for i in range(3)
-    ]
-    with ForkServerPool(2, policy=FaultPolicy(retries=0,
+@pytest.mark.faults(timeout=120)
+def test_fork_pool_worker_counters_survive_rebuilds(tmp_path):
+    # The victim (slot 0) crashes on its first attempt while the "hold"
+    # job keeps slot 1 busy until the victim's retry has finished, so
+    # the retry can only run on a rebuilt worker.  The replacement
+    # reuses slot 0; pool totals keep the dead worker's attempt.
+    marks = str(tmp_path)
+    jobs = [Job("victim", ("victim", marks)), Job("hold", ("hold", marks))]
+    jobs += [Job(f"ok-{i}", (f"v{i}", marks)) for i in range(3)]
+    with ForkServerPool(2, policy=FaultPolicy(retries=1,
                                               backoff=0.0)) as pool:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            results = pool.run(_victim_or_ok, jobs)
+        results = pool.run(_cell, jobs)
         stats = pool.worker_stats()
-    assert len(results) == 4
-    assert stats["completed"] == 4
-    assert stats["dispatched"] >= 5  # the crashed attempt counted too
-    assert [w["slot"] for w in stats["workers"]] == [0, 1]
+        rebuilds = pool.rebuilds
+    assert results == {"victim": "recovered", "hold": "held",
+                       "ok-0": "v0", "ok-1": "v1", "ok-2": "v2"}
+    assert rebuilds == 1
+    assert stats["completed"] == 5
+    assert stats["dispatched"] == 6  # the crashed attempt counted too
+    workers = stats["workers"]
+    assert [w["slot"] for w in workers] == [0, 1]
+    # Residents only: the dead worker's attempt lives in the totals.
+    assert sum(w["dispatched"] for w in workers) == 5
+    assert sum(w["completed"] for w in workers) == 5

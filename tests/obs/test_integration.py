@@ -1,8 +1,8 @@
 """End-to-end observability: bit-identity, sweep recorders, serve.
 
 The layer's core contract — observability is a window, never an input
-— is asserted here across every execution path: serial, pooled,
-accel/interp, and served.  The flight recorder's acceptance case (a
+— is asserted here across every execution path: serial, pooled and
+served.  The flight recorder's acceptance case (a
 SIGKILLed worker surfaces as typed events next to the sweep journal)
 rides the same fault harness as the resilience tests.
 """
@@ -82,12 +82,12 @@ def test_pooled_run_bit_identical_and_recorded(tmp_path, baseline):
 def test_interp_run_bit_identical_with_recorder(tmp_path, baseline):
     recorder = obs.sweep_recorder(str(tmp_path / "interp.events"))
     try:
-        got = run_matrix(**KW, engine_mode="interp")
+        got = run_matrix(**KW)
     finally:
         obs.detach(recorder)
     assert got.results == baseline.results
     cells = [e for e in recorder.events() if e["ev"] == "cell"]
-    assert {c["engine"] for c in cells} == {"interp"}
+    assert {c["engine"] for c in cells} == set(KW["archs"])
 
 
 def test_sweep_recorder_events_and_metrics(tmp_path, baseline):

@@ -111,8 +111,8 @@ def test_parse_matrix_query_defaults():
     {"instructions": "many"},
     {"warmup": -1},
     {"scale": 0},
-    {"engine_mode": "turbo"},
     {"deadline": "soon"},
+    {"deadline": True},
 ])
 def test_parse_matrix_query_rejects(bad):
     with pytest.raises(ProtocolError):
