@@ -28,6 +28,10 @@ Measures three things:
   of the local pools;
 * with ``--store DIR``, the artifact-store warm-vs-cold matrix.
 
+Every report also states the process's peak RSS (``ru_maxrss``) after
+the engine measurements and at the end; it is report-only, never
+gated.
+
 The full run writes ``BENCH_perf.json`` at the repo root; that file is
 committed and becomes the baseline every future PR is measured against.
 ``SEED_BASELINE`` pins the pre-optimization (seed) numbers, and
@@ -63,6 +67,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import sys
 import time
@@ -219,6 +224,15 @@ def _engine_program():
         _ENGINE_PROGRAM = prepare_program(ENGINE_BENCHMARK, optimized=True,
                                           scale=MATRIX_SCALE)
     return _ENGINE_PROGRAM
+
+
+def max_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB.
+
+    Report-only: no gate reads it.  Printed next to the engine numbers
+    because the schedule-template store they fill is most of it.
+    """
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def measure_engine_ips(instructions: int, reps: int = 2) -> dict:
@@ -695,6 +709,7 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
     # Deeper best-of only sharpens the estimate of the same quantity.
     engines = measure_engine_ips(ENGINE_INSTRUCTIONS, reps=4)
     quick_engines = measure_engine_ips(QUICK_INSTRUCTIONS, reps=3)
+    engines_rss_mb = max_rss_mb()
     matrix = measure_matrix(jobs)
     pool_overhead = measure_pool_overhead()
     serve = measure_serve_latency()
@@ -753,6 +768,8 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
         "calibration_drift_vs_pr4": round(drift_pr4, 3),
         "engines": engines,
         "quick_engines": quick_engines,
+        "engines_max_rss_mb": engines_rss_mb,
+        "max_rss_mb": max_rss_mb(),
         "matrix": matrix,
         "pool": pool_overhead,
         "serve": serve,
@@ -775,6 +792,8 @@ def full_run(jobs: int, output: str, store_dir=None) -> dict:
               f"({speedups['engine_ips_vs_seed'][arch]:.2f}x seed, "
               f"{speedups['engine_ips_vs_pr4'][arch]:.2f}x PR4, "
               f"chain {chain['per_engine'][arch]:.3f})")
+    print(f"  peak RSS        {engines_rss_mb:.0f} MB after the engine "
+          f"measurements, {report['max_rss_mb']:.0f} MB at the end")
     print(f"  chain hit rate  {chain['hit_rate']:.4f} on the default "
           f"matrix (committed floor {chain['floor']:.3f})")
     print(f"  matrix serial   {matrix['serial_seconds']:6.2f}s "
@@ -858,6 +877,7 @@ def quick_run(baseline_path: str) -> int:
               f"(baseline {base:,d}, floor {floor:,.0f}) {status}")
         if row["ips"] < floor:
             suspects.append(arch)
+    print(f"  peak RSS {max_rss_mb():.0f} MB (report-only)")
     if suspects:
         # A transient load burst can depress one measurement; re-measure
         # the suspects with more repetitions before failing the build.
@@ -904,14 +924,10 @@ def quick_run(baseline_path: str) -> int:
     # the *code*, not the host — simulation is deterministic — so a
     # measurement below the committed floor means a refactor knocked
     # segments off the chained path.
-    from repro.core.backend import chains_enabled_default
-
     chain_base = report.get("chain")
     if chain_base is None:
         print("baseline has no chain section (schema < 3); "
               "chain gate skipped")
-    elif not chains_enabled_default():
-        print("chains disabled via $REPRO_CHAINS; chain gate skipped")
     else:
         rates = measure_chain_rates()
         floor = chain_base.get("floor", 0.0)

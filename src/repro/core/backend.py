@@ -53,8 +53,31 @@ template's precomputed ``g_big`` threshold share one bucket edge (the
 entry state is provably identical), and eviction is generation-exact:
 clearing the store bumps its generation and every stale edge is
 rejected before it can replay a freed template.  The follow is a pure
-shortcut — both paths are bit-exact — and ``$REPRO_CHAINS`` switches it
-off for A/B measurement.
+shortcut — both paths are bit-exact — and a backend whose
+``chains_enabled`` attribute is False skips it (the parity tests do).
+
+Template memory
+---------------
+
+A cold run records a template for about half of its segments and
+replays few of them, so what a template costs to *hold* matters as
+much as what it costs to build.  Each :class:`TemplateStore` therefore
+interns the immutable pieces of its templates: every ``(delta, n)``
+occupancy pair, exit tail, booking list, completion-delta tuple and
+deep-offset tuple is stored once per store and shared by every
+template and edge that holds an equal value (about a thousand distinct
+pairs stand in for the hundreds of thousands a long run records).
+Interning is lazy — the table fills as templates are recorded, and
+nothing is built at import — and it never changes a template's value,
+only which object holds it.  The store is also kept out of the cyclic
+collector's way: :meth:`repro.core.processor.Processor.run` pauses
+Python's GC for the run, and the fork pool freezes the parent's
+objects across ``fork``, so no collection re-walks the store mid-run.
+Pausing is safe because the run loop creates no reference cycles:
+its garbage (segment tuples, transient tails and keys, result pairs)
+is freed by reference counting, and the one cycle a backend holds, it
+and its persistent scheduler generator, is made once per backend, not
+per segment.
 
 The scheduler is implemented as a *persistent generator* so all of its
 mutable state lives in one frame's locals for the lifetime of a run —
@@ -154,19 +177,6 @@ _CHAIN_DEEP_LIMIT = 16
 #: At most this many distinct load-level vectors resolved per profile.
 _CHAIN_LVL_LIMIT = 8
 
-#: Environment switch for the chained-template fast path (diagnostics /
-#: A-B measurement; results are bit-identical either way).
-CHAINS_ENV = "REPRO_CHAINS"
-_CHAINS_OFF_VALUES = frozenset({"0", "false", "no", "off"})
-
-
-def chains_enabled_default() -> bool:
-    """Whether schedule-template chaining is on (``$REPRO_CHAINS``)."""
-    import os
-
-    env = os.environ.get(CHAINS_ENV, "").strip().lower()
-    return env not in _CHAINS_OFF_VALUES
-
 
 class TemplateStore(dict):
     """A schedule-template dict with an eviction generation.
@@ -178,16 +188,23 @@ class TemplateStore(dict):
     template — a chain follow re-validates ``template[7] ==
     store.generation`` before replaying, so a stale edge can never
     replay a freed template.
+
+    ``interned`` maps each immutable template piece (occupancy pair,
+    occupancy tail, booking list, completion-delta tuple, deep-offset
+    tuple) to its one shared copy; see "Template memory" in the module
+    docstring.  Eviction empties it with the templates that shared it.
     """
 
-    __slots__ = ("generation",)
+    __slots__ = ("generation", "interned")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.generation = 0
+        self.interned: Dict[tuple, tuple] = {}
 
     def clear(self) -> None:  # noqa: A003 - dict interface
         self.generation += 1
+        self.interned.clear()
         super().clear()
 
 
@@ -213,6 +230,20 @@ def shared_schedule_templates(program, width: int,
     if store is None:
         store = per_program[key] = TemplateStore()
     return store
+
+
+def _intern_pairs(interned: dict, pairs: tuple) -> tuple:
+    """The shared copy of an occupancy tuple of ``(delta, n)`` pairs.
+
+    A new tuple is rebuilt from shared pairs before it is stored, so
+    neither it nor its pairs are ever held twice by the store.
+    """
+    shared = interned.get(pairs)
+    if shared is None:
+        setdefault = interned.setdefault
+        shared = tuple([setdefault(p, p) for p in pairs])
+        interned[shared] = shared
+    return shared
 
 
 def _pack_tail(tail: Optional[tuple]) -> Optional[int]:
@@ -283,7 +314,10 @@ class DataflowBackend:
         #: transition table the next segment probes.  None whenever the
         #: chain is broken (per-slot fallback, canonical dispatch).
         self._chain_tpl = None
-        self.chains_enabled = chains_enabled_default()
+        #: Whether the scheduler follows transition edges (a pure
+        #: shortcut: results are bit-identical either way).  Read when
+        #: the scheduler starts; tests switch it off to pin that parity.
+        self.chains_enabled = True
         #: Segments dispatched / segments resolved by a transition
         #: follow (no key build, no hash, no template-dict probe).
         self.seg_count = 0
@@ -506,6 +540,8 @@ class DataflowBackend:
         templates = self._templates
         counters_get = counters.get
         templates_get = templates.get
+        interned = templates.interned
+        intern = interned.setdefault
         chains_on = self.chains_enabled
         # Module-level constants and helpers as frame locals: these are
         # read once or more per segment.
@@ -910,7 +946,8 @@ class DataflowBackend:
                     for c, n in bk.items():
                         dc = c - D
                         merged[dc] = merged.get(dc, 0) + n
-                    exit_tail = tuple(sorted(merged.items()))
+                    exit_tail = _intern_pairs(
+                        interned, tuple(sorted(merged.items())))
                     tail = exit_tail
                     tail_k = _pack_tail(exit_tail)
                     if len(templates) > cache_limit:
@@ -932,15 +969,16 @@ class DataflowBackend:
                         g_big = cm
                     if g_big < 0:
                         g_big = 0
+                    completes = tuple([c - D for c in rec_completes])
                     tpl = (
-                        tuple([c - D for c in rec_completes]),
+                        intern(completes, completes),
                         last - D,
                         cic,
                         exit_tail,
                         tail_k,
-                        tuple(sorted(
+                        _intern_pairs(interned, tuple(sorted(
                             (c - D, n) for c, n in bk.items()
-                        )),
+                        ))),
                         seg_max - D,
                         gen,
                         {},
@@ -969,7 +1007,9 @@ class DataflowBackend:
                                 # resolving deep profiles and then load
                                 # levels to the successor.
                                 prev_tpl[8][ek] = [
-                                    deep_offs, mem_plan, lvl_span, t2,
+                                    intern(deep_offs, deep_offs),
+                                    mem_plan, lvl_span,
+                                    _intern_pairs(interned, t2),
                                     tk2, {dv_n: (K0n, {levels: tpl})},
                                 ]
                             else:

@@ -29,6 +29,7 @@ Per cycle:
 from __future__ import annotations
 
 import copy
+import gc
 import time
 from collections import deque
 from typing import Deque, Optional, Tuple
@@ -136,7 +137,24 @@ class Processor:
         instead of the batched :meth:`DataflowBackend.dispatch_segment`.
         It is the reference model the parity tests pin the fast path
         against; results must be identical either way.
+
+        Python's cyclic collector is paused for the run and restored on
+        the way out (re-enabled only if it was enabled on entry): the
+        loop creates no reference cycles, so a collection could only
+        re-walk the schedule-template store (see "Template memory" in
+        :mod:`repro.core.backend`).
         """
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run(max_instructions, warmup, _reference_dispatch)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _run(self, max_instructions: int, warmup: int,
+             _reference_dispatch: bool) -> SimulationResult:
+        """The body of :meth:`run`, with the collector paused."""
         # Observability happens only here, at the cell boundary — one
         # timestamp pair around the whole run, never inside the cycle
         # loop (the bench gate pins the hook's cost under 2%).

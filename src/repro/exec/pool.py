@@ -45,6 +45,7 @@ to a later failure), and in the dict ``run`` returns.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import os
 import signal
@@ -402,7 +403,14 @@ class ForkServerPool(Pool):
             args=(child_conn, self._initializer, self._initargs),
             daemon=True,
         )
-        proc.start()
+        # Freeze every tracked object across the fork: the child then
+        # never walks (or copy-on-writes) the images and traces it
+        # inherits, and the parent keeps no frozen objects.
+        gc.freeze()
+        try:
+            proc.start()
+        finally:
+            gc.unfreeze()
         child_conn.close()
         worker = _Worker(proc, parent_conn,
                          slot=self._spawned % self.max_workers)

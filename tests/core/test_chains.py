@@ -38,11 +38,12 @@ def _build(program, arch, width, machine=None):
 
 
 def _run(program, arch, width, machine=None, n=5000, warmup=1000,
-         reference=False):
-    """``reference=True`` runs the per-slot reference dispatch."""
-    return _build(program, arch, width, machine=machine).run(
-        n, warmup=warmup, _reference_dispatch=reference
-    )
+         reference=False, chains=True):
+    """``reference=True`` runs the per-slot reference dispatch;
+    ``chains=False`` switches the transition follow off."""
+    processor = _build(program, arch, width, machine=machine)
+    processor.backend.chains_enabled = chains
+    return processor.run(n, warmup=warmup, _reference_dispatch=reference)
 
 
 def _random_machine(rng, width):
@@ -78,18 +79,15 @@ class TestRandomizedChainParity:
 
     @pytest.mark.parametrize("width", [2, 4, 8])
     @pytest.mark.parametrize("seed", [11, 23])
-    def test_modes_and_chain_states_agree(self, gzip_small, width, seed,
-                                          monkeypatch):
+    def test_modes_and_chain_states_agree(self, gzip_small, width, seed):
         rng = random.Random(1000 * width + seed)
         machine = _random_machine(rng, width)
         arch = rng.choice(("ev8", "ftb", "stream", "trace"))
         digests = {}
         for chains in (True, False):
-            monkeypatch.setenv(backend_mod.CHAINS_ENV,
-                               "1" if chains else "0")
             for reference in (False, True):
                 result = _run(gzip_small, arch, width, machine=machine,
-                              reference=reference)
+                              reference=reference, chains=chains)
                 digests[(chains, reference)] = result_digest(result)
                 if not chains:
                     assert result.extras["chain_hits"] == 0

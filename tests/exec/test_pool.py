@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import operator
 import time
 import warnings
@@ -122,6 +123,17 @@ def test_fork_pool_matches_serial_results():
                           completed=lambda job, res: order.append(job.key))
     assert forked == serial
     assert sorted(order) == list(range(6))
+
+
+def test_fork_pool_leaves_nothing_frozen():
+    # Workers are forked with the parent's objects frozen out of the
+    # cyclic GC; the parent must get every one of them back.
+    assert gc.get_freeze_count() == 0
+    with ForkServerPool(2) as pool:
+        assert pool.run(operator.add, [Job(i, (i, 1)) for i in range(4)]) \
+            == {i: i + 1 for i in range(4)}
+        assert gc.get_freeze_count() == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_fork_pool_validates_max_workers():
