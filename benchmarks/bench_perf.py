@@ -489,10 +489,12 @@ def measure_serve_latency(reps: int = 5) -> dict:
 
     An in-process :class:`repro.serve.ExperimentServer` on an ephemeral
     port with a fresh throwaway store answers the same one-cell matrix
-    query cold (simulated on first contact) and warm (pure store hit).
-    The warm number is the service's overhead floor — connection setup,
-    LDJSON framing, the admission probe and the result decode; the
-    cold number adds one small simulation plus the artifact writes.
+    query (``ServeClient.matrix``) cold (simulated on first contact) and
+    warm (pure store hit).  The warm number is the service's overhead
+    floor — connection setup, LDJSON framing and the admission probe;
+    the answer's cells stay wire-encoded, so no result decode is
+    timed.  The cold number adds one small simulation plus the
+    artifact writes.
     The scheduler runs serially here so the cold number measures the
     service, not fork-pool spin-up (that cost is already reported as
     ``worker_setup_seconds``, and a long-lived daemon keeps its pool
@@ -501,12 +503,13 @@ def measure_serve_latency(reps: int = 5) -> dict:
     """
     import tempfile
 
-    from repro.serve import ExperimentServer, ServeClient
+    from repro.serve import ExperimentServer, MatrixQuery, ServeClient
 
     root = tempfile.mkdtemp(prefix="bench-serve-")
-    kwargs = dict(benchmarks=("gzip",), widths=(8,), archs=("stream",),
-                  layouts=(True,), instructions=SERVE_INSTRUCTIONS,
-                  warmup=SERVE_INSTRUCTIONS // 3, scale=MATRIX_SCALE)
+    query = MatrixQuery(benchmarks=("gzip",), widths=(8,),
+                        archs=("stream",), layouts=(True,),
+                        instructions=SERVE_INSTRUCTIONS,
+                        warmup=SERVE_INSTRUCTIONS // 3, scale=MATRIX_SCALE)
     try:
         with ExperimentServer(store_root=os.path.join(root, "store"),
                               max_workers=1, use_fork_pool=False) as server:
@@ -514,11 +517,9 @@ def measure_serve_latency(reps: int = 5) -> dict:
             client = ServeClient(host, port)
             ping_seconds = _best_of(reps, client.ping)
             t0 = time.perf_counter()
-            client.run_matrix(**kwargs)
+            client.matrix(query)
             cold_seconds = time.perf_counter() - t0
-            warm_seconds = _best_of(
-                reps, lambda: client.run_matrix(**kwargs)
-            )
+            warm_seconds = _best_of(reps, lambda: client.matrix(query))
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return {

@@ -27,7 +27,7 @@ sys.path.insert(
 from repro.cluster import ClusterPool, HealthPolicy  # noqa: E402
 from repro.exec import FaultPolicy  # noqa: E402
 from repro.experiments.runner import run_matrix  # noqa: E402
-from repro.serve.__main__ import _Daemon  # noqa: E402
+from repro.common.drill import Daemon  # noqa: E402
 
 MATRIX = dict(benchmarks=("gzip",), widths=(4, 8),
               archs=("stream", "ev8"), layouts=(True,),
@@ -52,7 +52,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as store_root:
         print("booting two daemons on ephemeral ports...")
-        with _Daemon(store_root) as a, _Daemon(store_root) as b:
+        with Daemon(store_root) as a, Daemon(store_root) as b:
             pool = ClusterPool(
                 [a.address, b.address],
                 policy=FaultPolicy(retries=2, backoff=0.1),

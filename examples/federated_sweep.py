@@ -28,16 +28,16 @@ sys.path.insert(
 )
 
 from repro.experiments.runner import run_matrix  # noqa: E402
-from repro.serve.__main__ import _Daemon  # noqa: E402
+from repro.common.drill import Daemon  # noqa: E402
 
 MATRIX = dict(benchmarks=("gzip",), widths=(4, 8),
               archs=("stream", "ev8"), layouts=(True,),
               instructions=20_000, warmup=5_000, scale=0.4)
 
 
-def sweep(daemon: _Daemon, label: str, base) -> None:
+def sweep(daemon: Daemon, label: str, base) -> None:
     t0 = time.perf_counter()
-    out = daemon.client.run_matrix(**MATRIX)
+    out = daemon.sweep(**MATRIX)
     dt = time.perf_counter() - t0
     ok = "bit-identical" if out.results == base.results else "DIVERGED!"
     status = daemon.client.status()
@@ -58,11 +58,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as root_a, \
             tempfile.TemporaryDirectory() as root_b:
         print("booting daemon A (cold store)...")
-        with _Daemon(root_a) as a:
+        with Daemon(root_a) as a:
             sweep(a, "daemon A (simulates cold)", base)
 
             print(f"booting daemon B with --store-peers {a.address}...")
-            with _Daemon(root_b, "--store-peers", a.address) as b:
+            with Daemon(root_b, "--store-peers", a.address) as b:
                 sweep(b, "daemon B (read-through)", base)
 
                 print(f"\nSIGKILL {a.address}; asking B again...")

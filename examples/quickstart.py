@@ -9,7 +9,14 @@ and branch misprediction rate.
 Run:  python examples/quickstart.py
 """
 
-from repro import simulate
+import os
+import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+from repro.experiments.runner import run_matrix  # noqa: E402
 
 N_INSTRUCTIONS = 60_000
 WARMUP = 20_000
@@ -18,12 +25,13 @@ WARMUP = 20_000
 def main() -> None:
     print("Stream fetch architecture on synthetic SPECint 'gzip'")
     print("=" * 60)
+    matrix = run_matrix(
+        ("gzip",), widths=(8,), archs=("stream",), layouts=(False, True),
+        instructions=N_INSTRUCTIONS, warmup=WARMUP, scale=0.6,
+    )
     for optimized in (False, True):
         layout = "optimized" if optimized else "baseline "
-        result = simulate(
-            "stream", "gzip", width=8, optimized=optimized,
-            instructions=N_INSTRUCTIONS, warmup=WARMUP, scale=0.6,
-        )
+        result = matrix.get("stream", "gzip", 8, optimized)
         print(
             f"{layout} layout:  IPC={result.ipc:5.2f}   "
             f"fetch IPC={result.fetch_ipc:5.2f}   "

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Talking to the experiment daemon: cold and warm matrix requests.
 
-Asks a running ``python -m repro.serve`` daemon for a small matrix
-twice.  The first (cold) request simulates on the daemon and persists
-every cell to its store; the second (warm) request is answered from
-the store without simulating — both bit-identical to a local
-``run_matrix``.  A second client asking the same cells while the cold
+Runs a small matrix twice through a ``python -m repro.serve`` daemon,
+as a one-node cluster (``run_matrix(cluster=["host:port"])``, the
+CLI's ``--cluster HOST:PORT``).  The first (cold) run simulates on the
+daemon and persists every cell to its store; the second (warm) run is
+answered from the store without simulating — both bit-identical to a
+local ``run_matrix``.  A second client asking the same cells while the cold
 request is still running would be coalesced onto the in-flight work,
 not queued behind it; `status` shows those counters.
 
@@ -35,9 +36,11 @@ BENCHMARKS = ("gzip",)
 KWARGS = dict(widths=(8,), instructions=20_000, scale=0.4)
 
 
-def ask(client: ServeClient, label: str) -> "object":
+def ask(address: str, label: str) -> "object":
     t0 = time.perf_counter()
-    matrix = client.run_matrix(BENCHMARKS, **KWARGS)
+    # Without a store here, every cell goes to the daemon; an
+    # unreachable daemon would cost one warning and a local run.
+    matrix = run_matrix(BENCHMARKS, **KWARGS, cluster=[address])
     dt = time.perf_counter() - t0
     print(f"{label}: {len(matrix.results)} cells in {dt:6.2f}s")
     return matrix
@@ -58,8 +61,9 @@ def main() -> None:
         ping = client.ping()
         print(f"daemon pid {ping['pid']}, protocol v{ping['version']}")
 
-        cold = ask(client, "cold request (daemon simulates + persists)")
-        warm = ask(client, "warm request (served from the daemon's store)")
+        address = f"{client.host}:{client.port}"
+        cold = ask(address, "cold request (daemon simulates + persists)")
+        warm = ask(address, "warm request (served from the daemon's store)")
         local = run_matrix(BENCHMARKS, **KWARGS)
         print("served cells bit-identical to a local run: "
               f"{cold.results == warm.results == local.results}")
@@ -83,14 +87,6 @@ def main() -> None:
             if line.startswith(("repro_serve_requests_total",
                                 "repro_serve_cells_total")):
                 print(f"  {line}")
-
-        # The same knob from the CLI: any matrix command accepts
-        # --serve HOST:PORT, and run_matrix(serve=...) falls back to a
-        # local run (one warning) when no daemon answers there.
-        address = f"{client.host}:{client.port}"
-        via = run_matrix(BENCHMARKS, **KWARGS, serve=address)
-        print(f"run_matrix(serve={address!r}) matches: "
-              f"{via.results == local.results}")
     finally:
         if server is not None:
             server.stop()

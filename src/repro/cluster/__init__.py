@@ -21,7 +21,8 @@ The moving parts:
   baseline.
 
 Entry points: ``run_matrix(..., cluster="host:port,host:port")`` or
-the experiments CLI's ``--cluster`` flag.
+the experiments CLI's ``--cluster`` flag — the only way to run a matrix
+remotely; one address uses a single daemon.
 """
 
 from .health import (

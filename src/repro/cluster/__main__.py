@@ -1,7 +1,7 @@
 """``python -m repro.cluster selftest`` — end-to-end fleet failure drills.
 
 Each scenario boots real ``repro.serve`` daemon subprocesses (via the
-fleet helper in :mod:`repro.serve.__main__`), drives a sweep through
+fleet helper in :mod:`repro.common.drill`), drives a sweep through
 :class:`~repro.cluster.pool.ClusterPool` / ``run_matrix(cluster=...)``
 while injecting a failure, and asserts the results **bit-identical**
 to a local baseline:
@@ -24,34 +24,26 @@ to a local baseline:
 
 from __future__ import annotations
 
-import argparse
 import sys
 import tempfile
 import threading
-import time
-from typing import Any, Callable, List, Tuple
+from typing import Any, List
 
+from repro.common import drill
+from repro.common.drill import Daemon, assert_identical, free_port
 from repro.exec.faults import FaultSpec, active_plan, encode_plan
 from repro.exec.policy import FaultPolicy
-from repro.serve.__main__ import _Daemon, free_port
+from repro.experiments.runner import run_matrix
 from repro.store.cache import ArtifactCache
 
 from .health import DEAD, HEALTHY, PROBATION, HealthPolicy
 from .pool import ClusterPool
 
-#: Four cells so redispatch has somewhere to go while other work runs;
-#: the ``ev8`` cells are the fault targets (their job keys and wire
-#: frames contain the arch name).
-MATRIX = dict(
-    benchmarks=("gzip",),
-    widths=(4, 8),
-    archs=("stream", "ev8"),
-    layouts=(True,),
-    instructions=3000,
-    warmup=1000,
-    scale=0.3,
-)
-N_CELLS = 4
+#: The drill matrix at two widths: four cells, so redispatch has
+#: somewhere to go while other work runs; the ``ev8`` cells are the
+#: fault targets (their job keys and wire frames contain the arch name).
+MATRIX = dict(drill.MATRIX, widths=(4, 8))
+N_CELLS = drill.cell_count(MATRIX)
 
 #: Fast-failing policies so scenarios run in seconds: no retry backoff,
 #: a two-strike breaker, sub-second probe backoff.
@@ -63,16 +55,7 @@ FAST_HEALTH = HealthPolicy(
 
 
 def _run_local(**overrides: Any):
-    from repro.experiments.runner import run_matrix
-
-    params = dict(MATRIX)
-    params.update(overrides)
-    return run_matrix(**params)
-
-
-def _assert_identical(out, base) -> None:
-    assert out.results == base.results, \
-        "cluster results differ from a local run_matrix"
+    return run_matrix(**dict(MATRIX, **overrides))
 
 
 def _by_address(pool: ClusterPool) -> dict:
@@ -83,8 +66,6 @@ def _check_kill_mid_sweep(base) -> None:
     """SIGKILL one of two daemons mid-sweep: in-flight cells
     redispatch to the survivor; store hits are never sent anywhere;
     remote results ingest into the client store byte-for-byte."""
-    from repro.experiments.runner import run_matrix
-
     hang = encode_plan(FaultSpec("hang", match="", times=16, seconds=90))
     with tempfile.TemporaryDirectory() as client_root, \
             tempfile.TemporaryDirectory() as victim_root, \
@@ -95,8 +76,8 @@ def _check_kill_mid_sweep(base) -> None:
         warm.update(widths=(4,), archs=("stream",))
         _run_local(store=client_root, **{k: warm[k]
                                          for k in ("widths", "archs")})
-        with _Daemon(victim_root, faults=hang) as victim, \
-                _Daemon(survivor_root) as survivor:
+        with Daemon(victim_root, faults=hang) as victim, \
+                Daemon(survivor_root) as survivor:
             pool = ClusterPool(
                 [victim.address, survivor.address],
                 policy=FAST, health_policy=FAST_HEALTH, node_slots=1,
@@ -110,7 +91,7 @@ def _check_kill_mid_sweep(base) -> None:
                                  **MATRIX)
             finally:
                 killer.cancel()
-            _assert_identical(out, base)
+            assert_identical(out, base)
             nodes = _by_address(pool)
             assert not pool.degraded_local
             assert pool.redispatches >= 1, \
@@ -122,7 +103,7 @@ def _check_kill_mid_sweep(base) -> None:
         # The ingested wire bytes must decode as plain store hits.
         arts = ArtifactCache(client_root)
         again = _run_local(store=arts)
-        _assert_identical(again, base)
+        assert_identical(again, base)
         assert arts.hits["result"] == N_CELLS, arts.hits
 
 
@@ -130,13 +111,11 @@ def _check_partition_heal(base) -> None:
     """Partition one node mid-frame until its breaker opens; the sweep
     survives on the peer, a heartbeat heals the node via probation,
     and the next sweep dispatches to it again."""
-    from repro.experiments.runner import run_matrix
-
     port_a = free_port()
     address_a = f"127.0.0.1:{port_a}"
     with tempfile.TemporaryDirectory() as root:
-        with _Daemon(root, port=port_a) as node_a, \
-                _Daemon(root) as node_b:
+        with Daemon(root, port=port_a) as node_a, \
+                Daemon(root) as node_b:
             pool = ClusterPool(
                 [node_a.address, node_b.address],
                 policy=FAST, health_policy=FAST_HEALTH, node_slots=1,
@@ -148,7 +127,7 @@ def _check_partition_heal(base) -> None:
                 FaultSpec("net_drop", match=address_a, times=2)
             ):
                 out = run_matrix(cluster=pool, **MATRIX)
-            _assert_identical(out, base)
+            assert_identical(out, base)
             nodes = _by_address(pool)
             assert not pool.degraded_local
             assert nodes[address_a].breaker_trips >= 1, \
@@ -159,7 +138,7 @@ def _check_partition_heal(base) -> None:
             # And the healed node takes work again (the daemons share
             # a store, so this round is warm).
             out2 = run_matrix(cluster=pool, **MATRIX)
-            _assert_identical(out2, base)
+            assert_identical(out2, base)
             assert nodes[address_a].completed >= 1, \
                 "the healed node was never dispatched to again"
             assert node_b.drain_and_wait() == 0
@@ -168,8 +147,6 @@ def _check_partition_heal(base) -> None:
 def _check_all_down(base) -> None:
     """Every node down: the pool probes, gives up, degrades warn-once
     to the local pool, and the sweep still completes bit-identically."""
-    from repro.experiments.runner import run_matrix
-
     addresses = [f"127.0.0.1:{free_port()}",
                  f"127.0.0.1:{free_port()}"]
     pool = ClusterPool(
@@ -177,7 +154,7 @@ def _check_all_down(base) -> None:
         connect_timeout=1.0,
     )
     out = run_matrix(cluster=pool, **MATRIX)
-    _assert_identical(out, base)
+    assert_identical(out, base)
     assert pool.degraded_local, \
         "an unreachable fleet did not degrade to the local pool"
     assert all(node.state == DEAD for node in pool.nodes)
@@ -187,8 +164,6 @@ def _check_all_down(base) -> None:
 def _check_slow_node(base) -> None:
     """A node that hangs past the policy deadline answers a typed
     deadline partial; the cell redispatches to a different node."""
-    from repro.experiments.runner import run_matrix
-
     slow = dict(MATRIX)
     slow.update(archs=("ev8",))  # two cells, both strikeable
     local = _run_local(archs=("ev8",))
@@ -196,15 +171,15 @@ def _check_slow_node(base) -> None:
                                  seconds=45))
     with tempfile.TemporaryDirectory() as root_a, \
             tempfile.TemporaryDirectory() as root_b:
-        with _Daemon(root_a, faults=hang) as slow_node, \
-                _Daemon(root_b) as fast_node:
+        with Daemon(root_a, faults=hang) as slow_node, \
+                Daemon(root_b) as fast_node:
             pool = ClusterPool(
                 [slow_node.address, fast_node.address],
                 policy=FaultPolicy(timeout=10, retries=2, backoff=0.0),
                 health_policy=FAST_HEALTH, node_slots=1,
             )
             out = run_matrix(cluster=pool, **slow)
-            _assert_identical(out, local)
+            assert_identical(out, local)
             nodes = _by_address(pool)
             assert not pool.degraded_local
             # The slow node answered (deadline partial), so it is
@@ -214,7 +189,7 @@ def _check_slow_node(base) -> None:
             slow_node.kill()  # its worker is still hanging; no drain
 
 
-CHECKS: List[Tuple[str, Callable]] = [
+CHECKS: List[drill.Check] = [
     ("all-down", _check_all_down),
     ("kill-mid-sweep", _check_kill_mid_sweep),
     ("partition-heal", _check_partition_heal),
@@ -222,59 +197,9 @@ CHECKS: List[Tuple[str, Callable]] = [
 ]
 
 
-def selftest(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster selftest",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--only", metavar="NAME",
-                        help="run a single scenario")
-    parser.add_argument("--help-scenarios", action="store_true",
-                        help="list the scenarios and exit")
-    args = parser.parse_args(argv)
-    if args.help_scenarios:
-        for name, _ in CHECKS:
-            print(name)
-        return 0
-
-    checks = CHECKS
-    if args.only:
-        checks = [(n, fn) for n, fn in CHECKS if n == args.only]
-        if not checks:
-            print(f"selftest: unknown scenario {args.only!r}",
-                  file=sys.stderr)
-            return 2
-
-    print(f"selftest: local baseline matrix "
-          f"({MATRIX['instructions']} instructions x {N_CELLS} cells)...",
-          flush=True)
-    base = _run_local()
-
-    failed = 0
-    for name, check in checks:
-        print(f"selftest: {name}...", end=" ", flush=True)
-        started = time.monotonic()
-        try:
-            check(base)
-        except Exception as exc:
-            failed += 1
-            print(f"FAIL ({type(exc).__name__}: {exc})")
-        else:
-            print(f"ok ({time.monotonic() - started:.1f}s)")
-    if failed:
-        print(f"selftest: {failed} scenario(s) FAILED", file=sys.stderr)
-        return 1
-    print(f"selftest: {len(checks)} scenario(s) passed; every cluster "
-          f"sweep bit-identical to a local run_matrix")
-    return 0
-
-
 def main(argv: List[str]) -> int:
-    if argv and argv[0] == "selftest":
-        return selftest(argv[1:])
-    print("usage: python -m repro.cluster selftest [--only NAME] "
-          "[--help-scenarios]", file=sys.stderr)
-    return 2
+    return drill.main(argv, "repro.cluster", CHECKS, description=__doc__,
+                      matrix=MATRIX)
 
 
 if __name__ == "__main__":

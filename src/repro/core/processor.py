@@ -181,7 +181,7 @@ class Processor:
         # view is current).
         seg_base = backend.seg_count
         chain_base = backend.chain_hits
-        warm_state: Optional[Tuple[int, int, SimulationResult, int, int]] = None
+        warm_state: Optional[Tuple[int, int, SimulationResult]] = None
         diverged = False
         # (resolve_cycle, correct_addr, ckpt, counts_as_mispredict, dyn)
         pending: Optional[Tuple[int, int, object, bool, DynBlock]] = None
@@ -415,13 +415,7 @@ class Processor:
                 result.fetched_instructions += correct_in_bundle
 
             if warmup and warm_state is None and scheduled >= warmup:
-                warm_state = (
-                    now,
-                    scheduled,
-                    copy.copy(result),
-                    result.fetch_cycles,
-                    result.fetched_instructions,
-                )
+                warm_state = (now, scheduled, copy.copy(result))
 
             if scheduled >= max_instructions:
                 break
@@ -435,12 +429,11 @@ class Processor:
         result.instructions = scheduled
         result.cycles = max(now, backend.last_commit_cycle)
         if warm_state is not None:
-            warm_now, warm_sched, warm_result, warm_fc, warm_fi = warm_state
+            warm_now, warm_sched, warm_result = warm_state
             result.instructions = scheduled - warm_sched
             result.cycles = max(now, backend.last_commit_cycle) - warm_now
-            result.fetch_cycles -= warm_fc
-            result.fetched_instructions -= warm_fi
             for name in (
+                "fetch_cycles", "fetched_instructions",
                 "branches", "cond_branches", "taken_branches",
                 "mispredictions", "cond_mispredictions",
                 "return_mispredictions", "indirect_resolutions",

@@ -84,13 +84,6 @@ class SimulationResult:
             return 0.0
         return self.cond_mispredictions / self.cond_branches
 
-    @property
-    def wrong_path_fraction(self) -> float:
-        total = self.fetched_instructions
-        if total == 0:
-            return 0.0
-        return self.wrong_path_instructions / total
-
     # ------------------------------------------------------------------
     def summary(self) -> str:
         opt = "opt" if self.optimized else "base"

@@ -6,55 +6,33 @@ exceptions, store I/O errors, SIGKILL inside a store write) and checks
 every run returns bit-identical results.  A smoke test for the whole
 resilience stack on the machine at hand — cheap enough for CI, honest
 enough to catch a platform where SIGALRM or pipe semantics differ.
-
-Exits 0 when every scenario passes, 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import multiprocessing
 import os
 import sys
 import tempfile
 import warnings
-from typing import Callable, List, Tuple
+from typing import List
 
+from repro.common import drill
+from repro.common.drill import MATRIX
 from repro.exec.faults import FAULTS_ENV, FaultSpec, active_plan, encode_plan
 from repro.exec.policy import FaultPolicy
+from repro.experiments.runner import run_matrix
 
-#: One small matrix: two architectures over one benchmark/layout/width,
-#: so the pool has two cells to shard and the fault specs can target
-#: one of them ("ev8") by key substring.
-MATRIX = dict(
-    benchmarks=("gzip",),
-    widths=(8,),
-    archs=("stream", "ev8"),
-    layouts=(True,),
-    instructions=3000,
-    warmup=1000,
-    scale=0.3,
-)
 FAST = FaultPolicy(retries=2, backoff=0.0)
 
 
-def _baseline():
-    from repro.experiments.runner import run_matrix
-
-    return run_matrix(**MATRIX)
-
-
 def _check_worker_kill(base) -> None:
-    from repro.experiments.runner import run_matrix
-
     with active_plan(FaultSpec("kill", match="ev8", times=1)):
         got = run_matrix(**MATRIX, jobs=2, fault_policy=FAST)
     assert got.results == base.results, "results differ after worker kill"
 
 
 def _check_hang(base) -> None:
-    from repro.experiments.runner import run_matrix
-
     policy = FaultPolicy(timeout=20.0, retries=2, backoff=0.0)
     with active_plan(FaultSpec("hang", match="ev8", times=1, seconds=120)):
         got = run_matrix(**MATRIX, jobs=2, fault_policy=policy)
@@ -62,16 +40,12 @@ def _check_hang(base) -> None:
 
 
 def _check_transient_exc(base) -> None:
-    from repro.experiments.runner import run_matrix
-
     with active_plan(FaultSpec("exc", match="ev8", times=2)):
         got = run_matrix(**MATRIX, fault_policy=FAST)
     assert got.results == base.results, "results differ after exceptions"
 
 
 def _check_store_errors(base) -> None:
-    from repro.experiments.runner import run_matrix
-
     with tempfile.TemporaryDirectory() as root:
         with active_plan(FaultSpec("store_err", match="result", times=2)):
             with warnings.catch_warnings():
@@ -87,15 +61,12 @@ def _store_kill_child(root: str) -> None:
         FaultSpec("store_kill", match="result", times=1)
     )
     from repro.exec import faults
-    from repro.experiments.runner import run_matrix
 
     faults.refresh()
     run_matrix(**MATRIX, store=root, fault_policy=FaultPolicy(retries=0))
 
 
 def _check_store_kill(base) -> None:
-    from repro.experiments.runner import run_matrix
-
     ctx = multiprocessing.get_context()
     with tempfile.TemporaryDirectory() as root:
         child = ctx.Process(target=_store_kill_child, args=(root,))
@@ -112,7 +83,7 @@ def _check_store_kill(base) -> None:
             "results differ after SIGKILL inside a store write"
 
 
-CHECKS: List[Tuple[str, Callable]] = [
+CHECKS: List[drill.Check] = [
     ("worker-kill", _check_worker_kill),
     ("hang-deadline", _check_hang),
     ("transient-exception", _check_transient_exc),
@@ -121,64 +92,8 @@ CHECKS: List[Tuple[str, Callable]] = [
 ]
 
 
-def selftest(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.exec selftest",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument(
-        "--only", metavar="NAME",
-        help="run a single scenario (see the list in --help-scenarios)",
-    )
-    parser.add_argument(
-        "--help-scenarios", action="store_true",
-        help="list the fault scenarios and exit",
-    )
-    args = parser.parse_args(argv)
-    if args.help_scenarios:
-        for name, _ in CHECKS:
-            print(name)
-        return 0
-
-    checks = CHECKS
-    if args.only:
-        checks = [(n, fn) for n, fn in CHECKS if n == args.only]
-        if not checks:
-            print(f"selftest: unknown scenario {args.only!r}",
-                  file=sys.stderr)
-            return 2
-
-    print(f"selftest: baseline matrix "
-          f"({MATRIX['instructions']} instructions x "
-          f"{len(MATRIX['archs'])} cells)...", flush=True)
-    base = _baseline()
-
-    failed = 0
-    for name, check in checks:
-        print(f"selftest: {name}...", end=" ", flush=True)
-        try:
-            check(base)
-        except Exception as exc:
-            failed += 1
-            print(f"FAIL ({type(exc).__name__}: {exc})")
-        else:
-            print("ok")
-    if failed:
-        print(f"selftest: {failed} scenario(s) FAILED", file=sys.stderr)
-        return 1
-    print(f"selftest: {len(checks)} scenario(s) passed, results "
-          f"bit-identical under every injected fault")
-    return 0
-
-
 def main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(prog="python -m repro.exec")
-    parser.add_argument("command", choices=["selftest"])
-    parser.add_argument("rest", nargs=argparse.REMAINDER)
-    args = parser.parse_args(argv)
-    if args.command == "selftest":
-        return selftest(args.rest)
-    return 2  # pragma: no cover - argparse rejects other commands
+    return drill.main(argv, "repro.exec", CHECKS, description=__doc__)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ Examples::
     repro-experiments cache sync HOST:PORT          # anti-entropy pass
     repro-experiments cache verify --peers HOST:PORT
     repro-experiments fig8 --store DIR --store-peers HOST:PORT
+    repro-experiments fig8 --cluster HOST:PORT      # cells via a daemon
     repro-experiments obs summary                   # flight recorder
 
 ``--store DIR`` (default: the ``REPRO_STORE`` environment variable)
@@ -76,12 +77,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the simulation matrix "
                              "(results are identical to --jobs 1)")
     _add_store(parser)
-    parser.add_argument(
-        "--serve", metavar="HOST:PORT", default=None,
-        help="send the matrix to a running repro.serve daemon (results "
-             "are bit-identical; falls back to local execution if the "
-             "daemon is unreachable or overloaded)",
-    )
     parser.add_argument(
         "--cluster", metavar="HOST:PORT,HOST:PORT", default=None,
         help="shard missing cells across a fleet of repro.serve "
@@ -236,7 +231,6 @@ def main(argv: List[str] | None = None) -> int:
                             ("--store", store_flag_given),
                             ("--timeout/--retries", fault_policy is not None),
                             ("--resume", args.resume),
-                            ("--serve", args.serve is not None),
                             ("--cluster", args.cluster is not None),
                             ("--store-peers",
                              args.store_peers is not None)):
@@ -255,8 +249,7 @@ def main(argv: List[str] | None = None) -> int:
                             scale=args.scale, progress=progress,
                             jobs=args.jobs, store=args.store,
                             fault_policy=fault_policy, resume=args.resume,
-                            serve=args.serve, cluster=args.cluster,
-                            peers=args.store_peers)
+                            cluster=args.cluster, peers=args.store_peers)
         print(figure8_text(matrix, args.benchmarks, tuple(args.widths)))
     elif args.command == "fig9":
         matrix = run_matrix(args.benchmarks, widths=(8,), layouts=(True,),
@@ -264,8 +257,7 @@ def main(argv: List[str] | None = None) -> int:
                             scale=args.scale, progress=progress,
                             jobs=args.jobs, store=args.store,
                             fault_policy=fault_policy, resume=args.resume,
-                            serve=args.serve, cluster=args.cluster,
-                            peers=args.store_peers)
+                            cluster=args.cluster, peers=args.store_peers)
         print(figure9_text(matrix, args.benchmarks))
     elif args.command == "table1":
         print(table1_text(args.benchmarks, args.instructions, args.scale))
@@ -275,8 +267,7 @@ def main(argv: List[str] | None = None) -> int:
                             scale=args.scale, progress=progress,
                             jobs=args.jobs, store=args.store,
                             fault_policy=fault_policy, resume=args.resume,
-                            serve=args.serve, cluster=args.cluster,
-                            peers=args.store_peers)
+                            cluster=args.cluster, peers=args.store_peers)
         print(table3_text(matrix, args.benchmarks))
     elif args.command == "ablations":
         print(ablations.line_width_sweep(

@@ -10,21 +10,25 @@ memoized trace record on each image does the same for the dynamic trace.
 layout) cell is one unit of work pulled from the pool's shared queue,
 which load-balances far better than group sharding when the matrix is
 uneven (one benchmark, many widths/architectures).  Program images are
-amortized fork-server style: the parent pre-links every (benchmark,
-layout) image into a module-level cache *before* the pool starts, so on
-fork-capable platforms every worker inherits the warm cache and never
-links at all; on spawn platforms each worker lazily links each image at
-most once.  Every simulation is fully deterministic given its
-:class:`RunSpec`, so the parallel path produces bit-identical
+amortized fork-server style: when the pool is built, the parent
+pre-links every missing (benchmark, layout) image into a module-level
+cache, so on fork-capable platforms every worker inherits the warm
+cache and never links at all; on spawn platforms each worker lazily
+links each image at most once.  Every simulation is fully deterministic
+given its :class:`RunSpec`, so the parallel path produces bit-identical
 :class:`SimulationResult`\\ s to the serial path, in the same order.
 
-Dispatch goes through the fault-tolerant pools in :mod:`repro.exec`
-(:class:`~repro.exec.pool.SerialPool` /
+Every run dispatches its missing cells through one pool and one
+completion callback.  The local pool is one of the fault-tolerant pools
+in :mod:`repro.exec` (:class:`~repro.exec.pool.SerialPool` /
 :class:`~repro.exec.pool.ForkServerPool`): worker crashes lose only the
 cells that worker held, failing cells retry under the configured
 :class:`~repro.exec.policy.FaultPolicy`, and a sweep that still cannot
 finish raises :class:`~repro.exec.policy.SweepError` naming the failed
-cells *after* everything else settled and persisted.
+cells *after* everything else settled and persisted.  ``cluster=``
+swaps in a :class:`~repro.cluster.pool.ClusterPool` of serve daemons —
+the only remote path — whose last-resort fallback is that same local
+pool.
 
 ``store=`` extends the amortization *across processes and runs*: cells
 whose result fingerprint resolves in the on-disk artifact store (see
@@ -36,6 +40,7 @@ shortcut, never an approximation.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import sys
@@ -369,50 +374,6 @@ def _result_meta(spec: RunSpec, instructions: int, warmup: int,
     }
 
 
-def _try_serve(
-    serve: str,
-    benchmarks: Sequence[str],
-    widths: Sequence[int],
-    archs: Sequence[str],
-    layouts: Sequence[bool],
-    instructions: int,
-    warmup: int,
-    scale: float,
-    progress: Optional[Callable[[SimulationResult], None]],
-) -> Optional[RunMatrixResult]:
-    """Ask a serve daemon for the matrix; None means "run locally".
-
-    Unreachable, overloaded or draining daemons degrade to local
-    execution with one warning per address — a missing daemon costs
-    speed, never a result.  Genuine sweep failures
-    (:class:`~repro.exec.policy.SweepError`) and protocol breakage
-    propagate: those are answers, not absence.
-    """
-    from repro.serve.client import (
-        ServeClient,
-        ServeDraining,
-        ServeOverloaded,
-        ServeUnavailable,
-    )
-
-    try:
-        return ServeClient.at(serve).run_matrix(
-            benchmarks, widths=widths, archs=archs, layouts=layouts,
-            instructions=instructions, warmup=warmup, scale=scale,
-            progress=progress,
-        )
-    except (ServeUnavailable, ServeOverloaded, ServeDraining) as exc:
-        # Keyed per address: one warning, then every further matrix
-        # against that daemon quietly runs locally.
-        warn_once(
-            f"serve.unreachable:{serve}",
-            f"repro.serve: daemon at {serve} did not take the run "
-            f"({exc}); running locally",
-            stacklevel=4,
-        )
-        return None
-
-
 def _federate_store(
     store: Optional[Union[ArtifactCache, ArtifactStore, str]],
     peers: Union[str, Sequence[str]],
@@ -490,13 +451,11 @@ def run_matrix(
     instructions: int = 100_000,
     warmup: Optional[int] = None,
     scale: float = 1.0,
-    program_cache: Optional[ProgramCache] = None,
     progress: Optional[Callable[[SimulationResult], None]] = None,
     jobs: int = 1,
     store: Optional[Union[ArtifactCache, ArtifactStore, str]] = None,
     fault_policy: Optional[FaultPolicy] = None,
     resume: bool = False,
-    serve: Optional[str] = None,
     cluster: Optional[Union[str, Sequence[str], Any]] = None,
     peers: Optional[Union[str, Sequence[str]]] = None,
 ) -> RunMatrixResult:
@@ -525,10 +484,6 @@ def run_matrix(
     included, and ``progress`` still fires once per cell in the
     deterministic order.
 
-    An explicitly provided ``program_cache`` forces the serial path:
-    the caller asked for shared already-linked images, which worker
-    processes cannot see.
-
     ``fault_policy`` tunes per-cell fault handling (attempt timeout,
     retries with deterministic backoff, worker-rebuild budget — see
     :class:`~repro.exec.policy.FaultPolicy`); both the serial and the
@@ -541,24 +496,17 @@ def run_matrix(
     (requires ``store``) additionally reports the journaled progress of
     the interrupted sweep on stderr before running the missing cells.
 
-    ``serve="host:port"`` sends the matrix to a running ``repro.serve``
-    daemon instead (bit-identical results — the daemon ships the
-    store's own result encoding); an unreachable or overloaded daemon
-    falls back to local execution with one warning per address.  The
-    daemon applies its own store, worker pool and fault policy, so
-    ``jobs``/``store``/``fault_policy`` govern only the local fallback.
-
     ``cluster`` shards the *missing* cells across a fleet of serve
     daemons instead of local workers: a comma-separated address string
     (``"host:port,host:port"``), a sequence of addresses, or an
-    already-constructed :class:`~repro.cluster.pool.ClusterPool`.
-    Unlike ``serve=``, the cluster path keeps the local store in the
-    loop — cached cells are never sent anywhere, remote results are
-    ingested byte-for-byte into the store and journal as they settle,
-    and ``fault_policy.timeout`` propagates as the per-request serve
-    deadline.  Dead or partitioned nodes cost redispatches; an
-    entirely unreachable fleet degrades (warn-once) to the local pool
-    the run would otherwise have used.
+    already-constructed :class:`~repro.cluster.pool.ClusterPool`; one
+    address is the way to use a single daemon.  The local store stays
+    in the loop — cached cells are never sent anywhere, remote results
+    are ingested byte-for-byte into the store and journal as they
+    settle, and ``fault_policy.timeout`` propagates as the per-request
+    serve deadline.  Dead or partitioned nodes cost redispatches; an
+    entirely unreachable fleet degrades (warn-once per run) to the
+    local pool the run would otherwise have used.
 
     ``peers`` federates the store (requires ``store=``): admission
     probes read through to the listed ``repro.serve`` daemons'
@@ -571,11 +519,6 @@ def run_matrix(
     """
     if warmup is None:
         warmup = instructions // 3
-    if serve is not None:
-        remote = _try_serve(serve, benchmarks, widths, archs, layouts,
-                            instructions, warmup, scale, progress)
-        if remote is not None:
-            return remote
     if resume and store is None:
         raise ValueError(
             "resume=True requires an artifact store (store=...)"
@@ -667,96 +610,36 @@ def run_matrix(
         finish_recording()
         return out
 
-    def on_completed(job: Job, result: SimulationResult) -> None:
-        # Fires the moment each cell settles, so everything finished is
-        # durable (store + journal) before any later failure can abort
-        # the sweep.
-        spec = job.key
-        if artifacts is not None:
-            artifacts.put_result(
-                result_fps[spec], result,
-                meta=_result_meta(spec, instructions, warmup, scale),
-            )
-            if journal is not None:
-                journal.append(result_fps[spec])
-        done[spec] = result
-        advance()
-
     cell_jobs = [
         Job(spec, (spec, instructions, warmup, scale,
                    program_fps.get((spec.benchmark, spec.optimized))))
         for spec in misses
     ]
+    # The local pool this run uses: fork-server workers running
+    # _run_cell_worker, or in-process serial_cell.  A cluster run builds
+    # it only if the whole fleet is unreachable.
+    fork = jobs > 1 and len(misses) > 1
+    used_programs: Dict[Tuple[str, bool], Program] = {}
 
-    if cluster is not None:
-        from repro.cluster.pool import ClusterPool
-
-        fb_store_root = (
-            artifacts.store.root if artifacts is not None else None
+    def serial_cell(
+        spec: RunSpec,
+        cell_instructions: int,
+        cell_warmup: int,
+        cell_scale: float,
+        program_key: Optional[str],
+    ) -> SimulationResult:
+        program = _default_cache().get(
+            spec.benchmark, spec.optimized, cell_scale,
+            key=program_key, artifacts=artifacts,
         )
+        used_programs[(spec.benchmark, spec.optimized)] = program
+        return _run_cell(program, spec.benchmark, spec.optimized,
+                         spec.width, spec.arch, cell_instructions,
+                         cell_warmup)
 
-        def _local_fallback_pool() -> Pool:
-            # Mirror the pool this run would have used without a
-            # fleet, so full-fleet degradation behaves exactly like a
-            # plain local run.
-            if jobs > 1 and len(misses) > 1:
-                workers = max(1, min(jobs, len(misses),
-                                     os.cpu_count() or 1))
-                return ForkServerPool(
-                    workers, initializer=_worker_init,
-                    initargs=(fb_store_root,), policy=policy,
-                )
+    def local_pool() -> Pool:
+        if not fork:
             return SerialPool(policy=policy)
-
-        if isinstance(cluster, ClusterPool):
-            cluster_pool = cluster
-            owns_pool = False
-        else:
-            addresses = (
-                [a.strip() for a in cluster.split(",") if a.strip()]
-                if isinstance(cluster, str)
-                else [str(a) for a in cluster]
-            )
-            cluster_pool = ClusterPool(
-                addresses, policy=policy,
-                fallback_factory=_local_fallback_pool,
-            )
-            owns_pool = True
-
-        def on_cluster_completed(job: Job,
-                                 result: SimulationResult) -> None:
-            spec = job.key
-            raw = cluster_pool.take_raw(spec)
-            if artifacts is not None:
-                meta = _result_meta(spec, instructions, warmup, scale)
-                ingested = None
-                if raw is not None:
-                    # Remote-result ingest: persist the daemon's wire
-                    # bytes verbatim (already the store's canonical
-                    # encoding), validated by decode.
-                    ingested = artifacts.put_result_bytes(
-                        result_fps[spec], raw, meta=meta
-                    )
-                if ingested is None:
-                    artifacts.put_result(result_fps[spec], result,
-                                         meta=meta)
-                if journal is not None:
-                    journal.append(result_fps[spec])
-            done[spec] = result
-            advance()
-
-        try:
-            cluster_pool.run(_run_cell_worker, cell_jobs,
-                             completed=on_cluster_completed)
-        finally:
-            if owns_pool:
-                cluster_pool.close()
-            finish_recording()
-        return out
-
-    if jobs > 1 and len(misses) > 1 and program_cache is None:
-        max_workers = max(1, min(jobs, len(misses), os.cpu_count() or 1))
-        store_root = artifacts.store.root if artifacts is not None else None
         if multiprocessing.get_start_method() == "fork":
             # Fork server: link or load every missing image once in the
             # parent; forked workers (including ones rebuilt after a
@@ -770,37 +653,53 @@ def run_matrix(
                         cache.get(benchmark, optimized, scale,
                                   key=program_fps.get((benchmark, optimized)),
                                   artifacts=artifacts)
-        try:
-            with ForkServerPool(
-                max_workers, initializer=_worker_init,
-                initargs=(store_root,), policy=policy,
-            ) as pool:
-                pool.run(_run_cell_worker, cell_jobs,
-                         completed=on_completed)
-        finally:
-            finish_recording()
-        return out
+        return ForkServerPool(
+            max(1, min(jobs, len(misses), os.cpu_count() or 1)),
+            initializer=_worker_init,
+            initargs=(artifacts.store.root if artifacts is not None
+                      else None,),
+            policy=policy,
+        )
 
-    cache = program_cache or _default_cache()
-    used_programs: Dict[Tuple[str, bool], Program] = {}
+    def on_completed(job: Job, result: SimulationResult) -> None:
+        # Fires the moment each cell settles, so everything finished is
+        # durable (store + journal) before any later failure can abort
+        # the sweep.
+        spec = job.key
+        # A daemon's wire bytes (None for cells the local fallback
+        # computed) are already the store's canonical encoding: ingest
+        # them verbatim, validated by decode.
+        raw = pool.take_raw(spec) if cluster is not None else None
+        if artifacts is not None:
+            meta = _result_meta(spec, instructions, warmup, scale)
+            if raw is None or artifacts.put_result_bytes(
+                    result_fps[spec], raw, meta=meta) is None:
+                artifacts.put_result(result_fps[spec], result, meta=meta)
+            if journal is not None:
+                journal.append(result_fps[spec])
+        done[spec] = result
+        advance()
 
-    def serial_cell(
-        spec: RunSpec,
-        cell_instructions: int,
-        cell_warmup: int,
-        cell_scale: float,
-        program_key: Optional[str],
-    ) -> SimulationResult:
-        program = cache.get(spec.benchmark, spec.optimized, cell_scale,
-                            key=program_key, artifacts=artifacts)
-        used_programs[(spec.benchmark, spec.optimized)] = program
-        return _run_cell(program, spec.benchmark, spec.optimized,
-                         spec.width, spec.arch, cell_instructions,
-                         cell_warmup)
-
+    pool: Pool
     try:
-        with SerialPool(policy=policy) as pool:
-            pool.run(serial_cell, cell_jobs, completed=on_completed)
+        if cluster is None:
+            pool = local_pool()
+        else:
+            from repro.cluster.pool import ClusterPool
+
+            if isinstance(cluster, ClusterPool):
+                pool = cluster
+            else:
+                addresses = (cluster.split(",") if isinstance(cluster, str)
+                             else [str(a) for a in cluster])
+                pool = ClusterPool([a.strip() for a in addresses],
+                                   policy=policy,
+                                   fallback_factory=local_pool)
+        # A caller's ClusterPool outlives this run; any other pool is
+        # this run's to close.
+        with pool if pool is not cluster else contextlib.nullcontext():
+            pool.run(_run_cell_worker if fork else serial_cell, cell_jobs,
+                     completed=on_completed)
     finally:
         # Persist grown traces even when a long run fails or is
         # interrupted mid-matrix (per-cell results above are already

@@ -17,8 +17,12 @@ into a resident service:
   is stored and journaled before any client sees it, so a SIGKILLed
   daemon restarts and re-simulates only what is missing.
 
-``python -m repro.serve selftest`` drives those claims end to end
-against a real daemon subprocess under injected faults.
+Clients run a matrix on a daemon through the one remote path,
+``run_matrix(cluster=["host:port"])`` (the CLI's ``--cluster``), which
+keeps the local store in the loop; :meth:`ServeClient.matrix` returns
+the raw typed answer.  ``python -m repro.serve selftest`` drives those
+claims end to end against a real daemon subprocess under injected
+faults.
 """
 
 from repro.serve.client import (

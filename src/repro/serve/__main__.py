@@ -21,17 +21,14 @@ from __future__ import annotations
 import argparse
 import os
 import signal
-import subprocess
 import sys
 import tempfile
 import threading
-import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List
 
-from repro.exec.faults import FAULTS_ENV, FaultSpec, encode_plan
+from repro.exec.faults import FaultSpec, encode_plan
 from repro.exec.policy import FaultPolicy
-from repro.serve.client import ServeClient, ServeOverloaded
-from repro.serve.protocol import MatrixQuery
+from repro.serve.client import ServeOverloaded
 from repro.serve.server import ExperimentServer
 
 
@@ -95,142 +92,25 @@ def serve(argv: List[str]) -> int:
 # ======================================================================
 # selftest
 # ======================================================================
-#: The selftest matrix: two cells so fault plans can target one of them
-#: ("ev8") while the other ("stream") proves unaffected work survives.
-MATRIX = dict(
-    benchmarks=("gzip",),
-    widths=(8,),
-    archs=("stream", "ev8"),
-    layouts=(True,),
-    instructions=3000,
-    warmup=1000,
-    scale=0.3,
-)
-N_CELLS = 2
+def _daemon(*args: Any, **kwargs: Any) -> Any:
+    # Imported here, not at module top: daemon boot loads no drill code.
+    from repro.common.drill import Daemon
 
-
-def free_port(host: str = "127.0.0.1") -> int:
-    """Reserve an OS-assigned port and release it immediately.
-
-    Fleet helper: a fault plan that partitions *one node* needs to
-    name that node's ``host:port`` before its daemon boots, which an
-    ephemeral ``--port 0`` cannot provide.  The release-then-rebind
-    race is theoretical in the selftest harness (nothing else binds
-    localhost ports between the two calls).
-    """
-    import socket
-
-    with socket.socket() as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
-
-
-class _Daemon:
-    """One daemon subprocess with ready-line port discovery.
-
-    ``port=0`` (the default) binds an ephemeral port, discovered from
-    the ready line; a fixed ``port`` (see :func:`free_port`) lets the
-    caller know the daemon's address in advance — the cluster
-    selftest's per-node fault plans need that.
-    """
-
-    def __init__(self, store: Optional[str], *extra: str,
-                 faults: Optional[str] = None, port: int = 0) -> None:
-        env = dict(os.environ)
-        env.pop(FAULTS_ENV, None)
-        env.pop("REPRO_STORE", None)  # hermetic: --store or nothing
-        env.pop("REPRO_STORE_PEERS", None)  # peers come via extra argv
-        if faults is not None:
-            env[FAULTS_ENV] = faults
-        # The subprocess must import repro however the parent did
-        # (examples insert src/ into sys.path, not PYTHONPATH).
-        import repro
-
-        src_root = os.path.dirname(
-            os.path.abspath(list(repro.__path__)[0]))
-        path = env.get("PYTHONPATH", "")
-        if src_root not in path.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                src_root + (os.pathsep + path if path else "")
-            )
-        cmd = [sys.executable, "-m", "repro.serve",
-               "--host", "127.0.0.1", "--port", str(port)]
-        if store is not None:
-            cmd += ["--store", store]
-        cmd += list(extra)
-        # Own process group: a SIGKILL must take the pool workers down
-        # with the daemon, or their inherited connection FDs keep the
-        # "dead" node's sockets established.
-        self.proc = subprocess.Popen(
-            cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True, start_new_session=True,
-        )
-        assert self.proc.stdout is not None
-        line = self.proc.stdout.readline()
-        prefix = "repro-serve: listening on "
-        if not line.startswith(prefix):
-            self.proc.kill()
-            raise AssertionError(f"daemon did not come up: {line!r}")
-        host, _, port = line[len(prefix):].strip().rpartition(":")
-        self.client = ServeClient(host, int(port))
-        # Drain the remaining stdout on a reaper thread so a chatty
-        # daemon can never block on a full pipe.
-        threading.Thread(target=self.proc.stdout.read, daemon=True).start()
-
-    @property
-    def address(self) -> str:
-        return f"{self.client.host}:{self.client.port}"
-
-    def kill(self) -> None:
-        self._kill_group()
-        self.proc.wait(timeout=60)
-
-    def drain_and_wait(self, timeout: float = 300.0) -> int:
-        self.client.drain()
-        return self.proc.wait(timeout=timeout)
-
-    def _kill_group(self) -> None:
-        try:
-            os.killpg(self.proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            self.proc.kill()
-
-    def __enter__(self) -> "_Daemon":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.proc.poll() is None:
-            self._kill_group()
-            self.proc.wait(timeout=60)
-
-
-def _query(**overrides: Any) -> MatrixQuery:
-    params = dict(MATRIX)
-    params.update(overrides)
-    return MatrixQuery(
-        benchmarks=params["benchmarks"], widths=params["widths"],
-        archs=params["archs"], layouts=params["layouts"],
-        instructions=params["instructions"], warmup=params["warmup"],
-        scale=params["scale"],
-        deadline=params.get("deadline"),
-    )
-
-
-def _assert_identical(remote, base) -> None:
-    assert remote.results == base.results, \
-        "daemon results differ from a local run_matrix"
+    return Daemon(*args, **kwargs)
 
 
 def _check_coalesce(base) -> None:
     """N concurrent identical cold requests -> one simulation per cell."""
-    with tempfile.TemporaryDirectory() as root, _Daemon(root) as daemon:
+    from repro.common.drill import N_CELLS, assert_identical
+
+    with tempfile.TemporaryDirectory() as root, _daemon(root) as daemon:
         n_clients = 4
         barrier = threading.Barrier(n_clients)
         outputs: List[Any] = [None] * n_clients
 
         def request(i: int) -> None:
             barrier.wait()
-            outputs[i] = daemon.client.run_matrix(**MATRIX)
+            outputs[i] = daemon.sweep()
 
         threads = [threading.Thread(target=request, args=(i,))
                    for i in range(n_clients)]
@@ -240,7 +120,7 @@ def _check_coalesce(base) -> None:
             t.join(timeout=300)
         for out in outputs:
             assert out is not None, "a concurrent request never finished"
-            _assert_identical(out, base)
+            assert_identical(out, base)
         status = daemon.client.status()
         cells = status["cells"]
         assert cells["computed"] == N_CELLS, (
@@ -251,8 +131,7 @@ def _check_coalesce(base) -> None:
         assert cells["coalesced"] >= N_CELLS, \
             f"no coalescing happened: {cells}"
         # Warm re-request: served from the store, nothing recomputed.
-        again = daemon.client.run_matrix(**MATRIX)
-        _assert_identical(again, base)
+        assert_identical(daemon.sweep(), base)
         status = daemon.client.status()
         assert status["cells"]["computed"] == N_CELLS
         assert daemon.drain_and_wait() == 0
@@ -260,11 +139,12 @@ def _check_coalesce(base) -> None:
 
 def _check_worker_kill(base) -> None:
     """A SIGKILLed worker costs a retry, never a wrong response."""
+    from repro.common.drill import assert_identical
+
     plan = encode_plan(FaultSpec("kill", match="ev8", times=1))
     with tempfile.TemporaryDirectory() as root, \
-            _Daemon(root, "--retries", "2", faults=plan) as daemon:
-        out = daemon.client.run_matrix(**MATRIX)
-        _assert_identical(out, base)
+            _daemon(root, "--retries", "2", faults=plan) as daemon:
+        assert_identical(daemon.sweep(), base)
         status = daemon.client.status()
         assert status["cells"]["failed"] == 0, status["cells"]
         assert daemon.drain_and_wait() == 0
@@ -272,27 +152,31 @@ def _check_worker_kill(base) -> None:
 
 def _check_hang_deadline(base) -> None:
     """A hung worker is killed at the attempt deadline and retried."""
+    from repro.common.drill import assert_identical
+
     plan = encode_plan(FaultSpec("hang", match="ev8", times=1, seconds=120))
     with tempfile.TemporaryDirectory() as root, \
-            _Daemon(root, "--timeout", "20", "--retries", "2",
+            _daemon(root, "--timeout", "20", "--retries", "2",
                     faults=plan) as daemon:
-        out = daemon.client.run_matrix(**MATRIX)
-        _assert_identical(out, base)
+        assert_identical(daemon.sweep(), base)
         assert daemon.drain_and_wait() == 0
 
 
 def _check_store_errors(base) -> None:
     """Store write errors cost caching, never the response."""
+    from repro.common.drill import assert_identical
+
     plan = encode_plan(FaultSpec("store_err", match="result", times=2))
     with tempfile.TemporaryDirectory() as root, \
-            _Daemon(root, faults=plan) as daemon:
-        out = daemon.client.run_matrix(**MATRIX)
-        _assert_identical(out, base)
+            _daemon(root, faults=plan) as daemon:
+        assert_identical(daemon.sweep(), base)
         assert daemon.drain_and_wait() == 0
 
 
 def _check_deadline_partial(base) -> None:
     """A request deadline yields typed partial results, not a hang."""
+    from repro.common.drill import matrix_query
+
     # Every attempt of the ev8 cell hangs and there is no attempt
     # timeout, so only the client's deadline can end the wait.  (The
     # hang outlives the deadline by plenty but not forever, so a worker
@@ -300,8 +184,8 @@ def _check_deadline_partial(base) -> None:
     plan = encode_plan(FaultSpec("hang", match="ev8", times=10,
                                  seconds=60))
     with tempfile.TemporaryDirectory() as root, \
-            _Daemon(root, faults=plan) as daemon:
-        response = daemon.client.matrix(_query(deadline=20.0))
+            _daemon(root, faults=plan) as daemon:
+        response = daemon.client.matrix(matrix_query(deadline=20.0))
         assert not response["complete"]
         by_arch = {cell["arch"]: cell for cell in response["cells"]}
         assert by_arch["stream"]["status"] == "ok", by_arch["stream"]
@@ -311,11 +195,13 @@ def _check_deadline_partial(base) -> None:
 
 def _check_restart_resume(base) -> None:
     """SIGKILL mid-sweep + restart re-simulates only missing cells."""
+    from repro.common.drill import assert_identical, matrix_query
+
     plan = encode_plan(FaultSpec("hang", match="ev8", times=10,
                                  seconds=60))
     with tempfile.TemporaryDirectory() as root:
-        with _Daemon(root, faults=plan) as daemon:
-            response = daemon.client.matrix(_query(deadline=20.0))
+        with _daemon(root, faults=plan) as daemon:
+            response = daemon.client.matrix(matrix_query(deadline=20.0))
             by_arch = {cell["arch"]: cell for cell in response["cells"]}
             assert by_arch["stream"]["status"] == "ok"
             assert by_arch["ev8"]["status"] == "deadline"
@@ -323,9 +209,8 @@ def _check_restart_resume(base) -> None:
 
         # Fault-free restart over the same store: the finished cell
         # must come back from disk, only the lost one re-simulates.
-        with _Daemon(root) as daemon:
-            out = daemon.client.run_matrix(**MATRIX)
-            _assert_identical(out, base)
+        with _daemon(root) as daemon:
+            assert_identical(daemon.sweep(), base)
             status = daemon.client.status()
             assert status["cells"]["computed"] == 1, (
                 f"restart re-simulated {status['cells']['computed']} "
@@ -337,10 +222,12 @@ def _check_restart_resume(base) -> None:
 
 def _check_overloaded(base) -> None:
     """Admission control answers with a typed overloaded error."""
+    from repro.common.drill import matrix_query
+
     with tempfile.TemporaryDirectory() as root, \
-            _Daemon(root, "--queue-limit", "0") as daemon:
+            _daemon(root, "--queue-limit", "0") as daemon:
         try:
-            daemon.client.run_matrix(**MATRIX)
+            daemon.client.matrix(matrix_query())
         except ServeOverloaded:
             pass
         else:
@@ -355,7 +242,7 @@ def _check_overloaded(base) -> None:
 
 def _check_drain(base) -> None:
     """Bare lifecycle: boot, ping, status, drain, clean exit."""
-    with _Daemon(None) as daemon:  # no store: pure in-memory service
+    with _daemon(None) as daemon:  # no store: pure in-memory service
         ping = daemon.client.ping()
         assert ping["ok"] and ping["pid"] == daemon.proc.pid
         status = daemon.client.status()
@@ -364,7 +251,7 @@ def _check_drain(base) -> None:
         assert daemon.drain_and_wait() == 0
 
 
-CHECKS: List[Tuple[str, Callable]] = [
+CHECKS = [
     ("drain", _check_drain),
     ("coalesce", _check_coalesce),
     ("worker-kill", _check_worker_kill),
@@ -376,58 +263,12 @@ CHECKS: List[Tuple[str, Callable]] = [
 ]
 
 
-def selftest(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve selftest",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--only", metavar="NAME",
-                        help="run a single scenario")
-    parser.add_argument("--help-scenarios", action="store_true",
-                        help="list the scenarios and exit")
-    args = parser.parse_args(argv)
-    if args.help_scenarios:
-        for name, _ in CHECKS:
-            print(name)
-        return 0
-
-    checks = CHECKS
-    if args.only:
-        checks = [(n, fn) for n, fn in CHECKS if n == args.only]
-        if not checks:
-            print(f"selftest: unknown scenario {args.only!r}",
-                  file=sys.stderr)
-            return 2
-
-    from repro.experiments.runner import run_matrix
-
-    print(f"selftest: local baseline matrix "
-          f"({MATRIX['instructions']} instructions x {N_CELLS} cells)...",
-          flush=True)
-    base = run_matrix(**MATRIX)
-
-    failed = 0
-    for name, check in checks:
-        print(f"selftest: {name}...", end=" ", flush=True)
-        started = time.monotonic()
-        try:
-            check(base)
-        except Exception as exc:
-            failed += 1
-            print(f"FAIL ({type(exc).__name__}: {exc})")
-        else:
-            print(f"ok ({time.monotonic() - started:.1f}s)")
-    if failed:
-        print(f"selftest: {failed} scenario(s) FAILED", file=sys.stderr)
-        return 1
-    print(f"selftest: {len(checks)} scenario(s) passed; every daemon "
-          f"response bit-identical to a local run_matrix")
-    return 0
-
-
 def main(argv: List[str]) -> int:
     if argv and argv[0] == "selftest":
-        return selftest(argv[1:])
+        from repro.common import drill
+
+        return drill.main(argv, "repro.serve", CHECKS,
+                          description=__doc__)
     return serve(argv)
 
 

@@ -73,7 +73,13 @@ class _Handler(socketserver.StreamRequestHandler):
                     protocol.ERROR_INTERNAL,
                     f"{type(exc).__name__}: {exc}",
                 )
-            if not self._respond(response):
+            sent = self._respond(response)
+            if message.get("op") == "drain":
+                # The drain thread stops the server only after this
+                # acknowledgement is out, so the daemon cannot exit
+                # under it.
+                self.server.drain_acked.set()
+            if not sent:
                 return
 
     def _respond(self, response: Dict[str, Any]) -> bool:
@@ -97,6 +103,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
                                 else int(max_frame_bytes))
         self.started = time.monotonic()
         self._drain_started = threading.Event()
+        self.drain_acked = threading.Event()
 
     # ------------------------------------------------------------------
     def dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -126,7 +133,7 @@ class _TCPServer(socketserver.ThreadingTCPServer):
                     "content_type": obs.PROMETHEUS_CONTENT_TYPE,
                     "text": obs.render_prometheus()}
         if op == "drain":
-            self.begin_drain()
+            self.begin_drain(acked=self.drain_acked)
             return {"ok": True, "op": "drain", "draining": True}
         if op == "matrix":
             started = time.perf_counter()
@@ -167,11 +174,13 @@ class _TCPServer(socketserver.ThreadingTCPServer):
                 "cells": cells}
 
     # ------------------------------------------------------------------
-    def begin_drain(self) -> None:
+    def begin_drain(self, acked: Optional[threading.Event] = None) -> None:
         """Stop admission now; finish queued work; then stop serving.
 
         Idempotent.  The heavy lifting runs on a helper thread so the
-        requesting connection still gets its acknowledgement.
+        requesting connection still gets its acknowledgement; with
+        ``acked`` (the wire ``drain`` op) serving stops only once that
+        acknowledgement was written.
         """
         if self._drain_started.is_set():
             return
@@ -179,6 +188,8 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 
         def _drain() -> None:
             self.scheduler.drain()
+            if acked is not None:
+                acked.wait(timeout=5.0)
             self.shutdown()
 
         threading.Thread(target=_drain, name="serve-drain",

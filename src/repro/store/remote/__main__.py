@@ -27,22 +27,23 @@ degradation ladder must cost recomputes, never wrong numbers:
 
 from __future__ import annotations
 
-import argparse
 import sys
 import tempfile
 import threading
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cluster.health import DEAD, HEALTHY, PROBATION, HealthPolicy
-from repro.exec.faults import FaultSpec, active_plan, encode_plan
-from repro.serve.__main__ import (
+from repro.common import drill
+from repro.common.drill import (
     MATRIX,
     N_CELLS,
-    _assert_identical,
-    _Daemon,
+    Daemon,
+    assert_identical,
     free_port,
 )
+from repro.exec.faults import FaultSpec, active_plan, encode_plan
+from repro.experiments.runner import run_matrix
 from repro.store.remote.tiered import TieredStore
 from repro.store.store import ArtifactStore
 
@@ -63,8 +64,6 @@ def _tier(root: str, peers: object, **kwargs: object) -> TieredStore:
 
 
 def _run_local(store: ArtifactStore):
-    from repro.experiments.runner import run_matrix
-
     return run_matrix(store=store, **MATRIX)
 
 
@@ -75,14 +74,14 @@ def _check_all_peers_down(base) -> None:
         tier = _tier(root, peers)
         try:
             out = _run_local(tier)
-            _assert_identical(out, base)
+            assert_identical(out, base)
             for peer in tier.peers:
                 assert peer.hits == 0, peer.stats()
                 assert peer.errors >= 1, peer.stats()
             # Warm rerun over the now-populated local layer: still
             # bit-identical, still local-only.
             again = _run_local(tier)
-            _assert_identical(again, base)
+            assert_identical(again, base)
         finally:
             tier.close(timeout=1.0)
 
@@ -91,13 +90,12 @@ def _check_version_skew(base) -> None:
     """A version-skewed peer is warned about once and never asked again."""
     with tempfile.TemporaryDirectory() as remote_root, \
             tempfile.TemporaryDirectory() as local_root, \
-            _Daemon(remote_root) as daemon:
-        warm = daemon.client.run_matrix(**MATRIX)
-        _assert_identical(warm, base)
+            Daemon(remote_root) as daemon:
+        assert_identical(daemon.sweep(), base)
         tier = _tier(local_root, daemon.address, version="bogus-selftest")
         try:
             out = _run_local(tier)
-            _assert_identical(out, base)
+            assert_identical(out, base)
             peer = tier.peers[0]
             assert peer.unusable, peer.stats()
             assert peer.hits == 0, peer.stats()
@@ -112,15 +110,14 @@ def _check_garbage_payload(base) -> None:
         FaultSpec("net_garbage", match="store_get", times=100))
     with tempfile.TemporaryDirectory() as remote_root, \
             tempfile.TemporaryDirectory() as local_root, \
-            _Daemon(remote_root, faults=plan) as daemon:
+            Daemon(remote_root, faults=plan) as daemon:
         # The fault matches frame text, so the daemon's ordinary matrix
         # responses are untouched — only store_get traffic is garbled.
-        warm = daemon.client.run_matrix(**MATRIX)
-        _assert_identical(warm, base)
+        assert_identical(daemon.sweep(), base)
         tier = _tier(local_root, daemon.address)
         try:
             out = _run_local(tier)
-            _assert_identical(out, base)
+            assert_identical(out, base)
             peer = tier.peers[0]
             assert peer.hits == 0, peer.stats()
             assert peer.errors >= 1, peer.stats()
@@ -134,9 +131,8 @@ def _check_kill_mid_get(base) -> None:
     error; the sweep recomputes locally, bit-identically."""
     with tempfile.TemporaryDirectory() as remote_root, \
             tempfile.TemporaryDirectory() as local_root, \
-            _Daemon(remote_root) as daemon:
-        warm = daemon.client.run_matrix(**MATRIX)
-        _assert_identical(warm, base)
+            Daemon(remote_root) as daemon:
+        assert_identical(daemon.sweep(), base)
         tier = _tier(local_root, daemon.address)
         killer = threading.Timer(1.0, daemon.kill)
         try:
@@ -144,7 +140,7 @@ def _check_kill_mid_get(base) -> None:
                                        times=1, seconds=3.0)):
                 killer.start()
                 out = _run_local(tier)
-            _assert_identical(out, base)
+            assert_identical(out, base)
             peer = tier.peers[0]
             assert peer.hits == 0, peer.stats()
             assert peer.errors >= 1, peer.stats()
@@ -166,13 +162,13 @@ def _check_partition_heal(base) -> None:
         # not have: the only way to get it post-heal is read-through.
         ArtifactStore(remote_root).put(
             "result", extra_fp, extra_data, {"note": "heal-probe"})
-        with _Daemon(remote_root, port=port) as daemon:
+        with Daemon(remote_root, port=port) as daemon:
             tier = _tier(local_root, address)
             try:
                 with active_plan(FaultSpec("net_drop", match=address,
                                            times=100)):
                     out = _run_local(tier)
-                _assert_identical(out, base)
+                assert_identical(out, base)
                 peer = tier.peers[0]
                 assert peer.hits == 0, peer.stats()
                 assert peer.health.breaker_trips >= 1 \
@@ -198,13 +194,11 @@ def _check_fleet_read_through(base) -> None:
     """Two federated daemons simulate each cold cell exactly once."""
     with tempfile.TemporaryDirectory() as root_a, \
             tempfile.TemporaryDirectory() as root_b, \
-            _Daemon(root_a) as node_a:
-        out_a = node_a.client.run_matrix(**MATRIX)
-        _assert_identical(out_a, base)
+            Daemon(root_a) as node_a:
+        assert_identical(node_a.sweep(), base)
         assert node_a.client.status()["cells"]["computed"] == N_CELLS
-        with _Daemon(root_b, "--store-peers", node_a.address) as node_b:
-            out_b = node_b.client.run_matrix(**MATRIX)
-            _assert_identical(out_b, base)
+        with Daemon(root_b, "--store-peers", node_a.address) as node_b:
+            assert_identical(node_b.sweep(), base)
             status = node_b.client.status()
             assert status["cells"]["computed"] == 0, (
                 f"node B re-simulated "
@@ -221,7 +215,7 @@ def _check_fleet_read_through(base) -> None:
         assert node_a.drain_and_wait() == 0
 
 
-CHECKS: List[Tuple[str, Callable]] = [
+CHECKS: List[drill.Check] = [
     ("all-peers-down", _check_all_peers_down),
     ("version-skew", _check_version_skew),
     ("garbage-payload", _check_garbage_payload),
@@ -231,61 +225,9 @@ CHECKS: List[Tuple[str, Callable]] = [
 ]
 
 
-def selftest(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.store.remote selftest",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--only", metavar="NAME",
-                        help="run a single scenario")
-    parser.add_argument("--help-scenarios", action="store_true",
-                        help="list the scenarios and exit")
-    args = parser.parse_args(argv)
-    if args.help_scenarios:
-        for name, _ in CHECKS:
-            print(name)
-        return 0
-
-    checks = CHECKS
-    if args.only:
-        checks = [(n, fn) for n, fn in CHECKS if n == args.only]
-        if not checks:
-            print(f"selftest: unknown scenario {args.only!r}",
-                  file=sys.stderr)
-            return 2
-
-    from repro.experiments.runner import run_matrix
-
-    print(f"selftest: local baseline matrix "
-          f"({MATRIX['instructions']} instructions x {N_CELLS} cells)...",
-          flush=True)
-    base = run_matrix(**MATRIX)
-
-    failed = 0
-    for name, check in checks:
-        print(f"selftest: {name}...", end=" ", flush=True)
-        started = time.monotonic()
-        try:
-            check(base)
-        except Exception as exc:
-            failed += 1
-            print(f"FAIL ({type(exc).__name__}: {exc})")
-        else:
-            print(f"ok ({time.monotonic() - started:.1f}s)")
-    if failed:
-        print(f"selftest: {failed} scenario(s) FAILED", file=sys.stderr)
-        return 1
-    print(f"selftest: {len(checks)} scenario(s) passed; every sweep "
-          f"bit-identical to a local run_matrix")
-    return 0
-
-
 def main(argv: List[str]) -> int:
-    if argv and argv[0] == "selftest":
-        return selftest(argv[1:])
-    print("usage: python -m repro.store.remote selftest [--only NAME] "
-          "[--help-scenarios]", file=sys.stderr)
-    return 2
+    return drill.main(argv, "repro.store.remote", CHECKS,
+                      description=__doc__)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,14 @@ latencies, must respect the machine's bandwidth: no more than
 instructions, correct-path and wrong-path together, are fetched per
 cycle.  ``fetched_instructions`` counts correct-path work only (see
 ``SimulationResult.fetch_ipc``), so it equals the scheduled count.
+
+Warmup subtraction is consistent: no counter goes negative once the
+warm snapshot is subtracted, and the measured instruction count misses
+``N - warmup`` by less than one fetch bundle.  (It may exceed it: the
+snapshot and the stop are both taken at bundle boundaries.)
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +56,7 @@ def machines(draw):
 @given(machine=machines(),
        arch=st.sampled_from(("ev8", "ftb", "stream", "trace")),
        benchmark=st.sampled_from(_BENCHMARKS),
-       warmup=st.sampled_from((0, 500)))
+       warmup=st.sampled_from((0, 500, 2000)))
 def test_bandwidth_invariants(programs, machine, arch, benchmark, warmup):
     width = machine.core.width
     result = build_processor(
@@ -64,3 +69,8 @@ def test_bandwidth_invariants(programs, machine, arch, benchmark, warmup):
     assert result.fetched_instructions == result.instructions
     fetched = result.fetched_instructions + result.wrong_path_instructions
     assert fetched <= width * result.cycles
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if type(value) is int:
+            assert value >= 0, (f.name, value)
+    assert abs(result.instructions - (2500 - warmup)) < width

@@ -37,11 +37,6 @@ class TestDerivedMetrics:
         r = make(cond_branches=100, cond_mispredictions=3)
         assert r.cond_misprediction_rate == pytest.approx(0.03)
 
-    def test_wrong_path_fraction(self):
-        r = make(fetched_instructions=1000, wrong_path_instructions=100,
-                 fetch_cycles=10)
-        assert r.wrong_path_fraction == pytest.approx(0.1)
-
     def test_summary_mentions_key_fields(self):
         text = make().summary()
         assert "stream" in text

@@ -1,4 +1,6 @@
-"""The ``python -m repro.exec selftest`` smoke command."""
+"""``python -m repro.exec selftest``: scenario pin, the shared
+command-line scaffold of :mod:`repro.common.drill`, subprocess smoke.
+"""
 
 from __future__ import annotations
 

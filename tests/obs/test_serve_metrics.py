@@ -8,11 +8,21 @@ import os
 import pytest
 
 from repro import obs
+from repro.cluster.pool import ClusterPool
 from repro.experiments.runner import run_matrix
 from repro.serve import ExperimentServer, ServeClient
 
 KW = dict(benchmarks=("gzip",), widths=(8,), archs=("stream",),
           layouts=(True,), instructions=3000, warmup=1000, scale=0.3)
+
+
+def via(server):
+    """KW run through ``server`` as a one-node cluster; the daemon, not
+    a local fallback, must answer."""
+    pool = ClusterPool(["%s:%d" % server.address])
+    out = run_matrix(**KW, cluster=pool)
+    assert not pool.degraded_local
+    return out
 
 
 @pytest.fixture
@@ -28,7 +38,7 @@ def test_metrics_op_serves_prometheus_text(served):
     # see exactly this test's traffic regardless of suite order.
     obs.reset_metrics()
     base = run_matrix(**KW)
-    got = client.run_matrix(**KW)
+    got = via(server)
     assert got.results == base.results
 
     text = client.metrics()
@@ -52,7 +62,7 @@ def test_metrics_op_serves_prometheus_text(served):
 def test_status_reports_uptime_queue_and_in_flight(served):
     server, client = served
     obs.reset_metrics()
-    client.run_matrix(**KW)
+    via(server)
     status = client.status()
     assert status["uptime"] > 0
     assert status["queue"]["backlog"] == 0
@@ -64,9 +74,8 @@ def test_daemon_keeps_its_own_flight_recorder(tmp_path):
     root = str(tmp_path / "store")
     with ExperimentServer(store_root=root, max_workers=1,
                           use_fork_pool=False) as server:
-        client = ServeClient(*server.address)
         base = run_matrix(**KW)
-        got = client.run_matrix(**KW)
+        got = via(server)
         assert got.results == base.results
     events = obs.read_events(os.path.join(root, "runs", "daemon.events"))
     kinds = {e["ev"] for e in events}
@@ -82,8 +91,7 @@ def test_served_results_identical_with_obs_disabled(tmp_path, monkeypatch):
     root = str(tmp_path / "store")
     with ExperimentServer(store_root=root, max_workers=1,
                           use_fork_pool=False) as server:
-        client = ServeClient(*server.address)
-        got = client.run_matrix(**KW)
+        got = via(server)
     assert got.results == base.results
     # Disabled: the daemon attached no recorder at all.
     assert not os.path.exists(os.path.join(root, "runs", "daemon.events"))

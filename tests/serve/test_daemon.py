@@ -4,13 +4,12 @@ subprocess on an ephemeral port, driven through the public client."""
 from __future__ import annotations
 
 import socket
-import warnings
 
 import pytest
 from helpers import result_digest
 
+from repro.common.drill import Daemon
 from repro.experiments.runner import run_matrix
-from repro.serve.__main__ import _Daemon
 from repro.serve.client import ServeError, ServeUnavailable
 
 MATRIX = dict(benchmarks=("gzip",), widths=(8,), archs=("stream",),
@@ -20,16 +19,16 @@ MATRIX = dict(benchmarks=("gzip",), widths=(8,), archs=("stream",),
 def test_daemon_smoke_cold_warm_bitidentical_drain(tmp_path):
     """Boot, serve one cold + one warm query bit-identically, drain."""
     base = run_matrix(**MATRIX)
-    with _Daemon(str(tmp_path / "store")) as daemon:
+    with Daemon(str(tmp_path / "store")) as daemon:
         ping = daemon.client.ping()
         assert ping["ok"] and ping["pid"] == daemon.proc.pid
 
-        cold = daemon.client.run_matrix(**MATRIX)
+        cold = daemon.sweep(**MATRIX)
         assert cold.results == base.results
         assert [result_digest(r) for r in cold.results.values()] == \
             [result_digest(r) for r in base.results.values()]
 
-        warm = daemon.client.run_matrix(**MATRIX)
+        warm = daemon.sweep(**MATRIX)
         assert warm.results == base.results
 
         status = daemon.client.status()
@@ -41,34 +40,28 @@ def test_daemon_smoke_cold_warm_bitidentical_drain(tmp_path):
         assert daemon.drain_and_wait() == 0
 
 
-def test_run_matrix_serve_param_uses_daemon_and_falls_back(tmp_path):
-    """The runner's serve= path: daemon when present, local otherwise."""
+def test_run_matrix_single_node_cluster_uses_daemon_and_falls_back(
+        tmp_path):
+    """run_matrix(cluster=[addr]): daemon when present, local otherwise."""
     base = run_matrix(**MATRIX)
-    with _Daemon(str(tmp_path / "store")) as daemon:
-        address = f"{daemon.client.host}:{daemon.client.port}"
+    with Daemon(str(tmp_path / "store")) as daemon:
         seen = []
-        remote = run_matrix(**MATRIX, serve=address,
+        remote = run_matrix(**MATRIX, cluster=[daemon.address],
                             progress=seen.append)
         assert remote.results == base.results
         assert len(seen) == 1  # progress streamed per cell
         assert daemon.client.status()["requests"] == 1
         assert daemon.drain_and_wait() == 0
 
-    # Nothing listens there anymore: one warning, then a local run
-    # that still returns the identical matrix.
-    from repro.common import reset_warn_once
-    reset_warn_once(f"serve.unreachable:{address}")
-    with pytest.warns(RuntimeWarning, match="running locally"):
-        fallback = run_matrix(**MATRIX, serve=address)
+    # Nothing listens there anymore: the run warns (once per run) and
+    # finishes on the local pool with the identical matrix.
+    with pytest.warns(RuntimeWarning, match="no fleet node reachable"):
+        fallback = run_matrix(**MATRIX, cluster=[daemon.address])
     assert fallback.results == base.results
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second failure is quiet
-        again = run_matrix(**MATRIX, serve=address)
-    assert again.results == base.results
 
 
 def test_daemon_answers_bad_requests_typed(tmp_path):
-    with _Daemon(None) as daemon:
+    with Daemon(None) as daemon:
         with pytest.raises(ServeError, match="bad_request"):
             daemon.client.request({"op": "matrix",
                                    "benchmarks": ["nope"]})

@@ -416,8 +416,10 @@ class TestTieredStore:
         with pytest.warns(RuntimeWarning, match="version"):
             assert tier.get("result", FP) is None
         assert tier.peers[0].unusable
-        # Never asked again: no further traffic, still a local miss.
-        assert tier.get("result", FP2) is None
+        # Never asked again: no further traffic, still a local miss,
+        # and the tier says once that it now runs local-only.
+        with pytest.warns(RuntimeWarning, match="running local-only"):
+            assert tier.get("result", FP2) is None
         assert tier.peers[0].hits == 0
 
 
